@@ -241,101 +241,129 @@ def _solution_stream(instance: ControlInstance, deletion_pool=None):
                     yield ControlSolution(added_candidates=added, deleted_candidates=deleted)
 
 
-class _AdditiveDeletionOracle:
-    """J-CC under candidate deletion without rebuilding the election.
+class _AdditiveControlOracle:
+    """J-CC after any control action under AV, SAV or NSAV, without an Election.
 
-    Recomputes approval-class scores from cached vote sizes, so padded
-    rosters with hundreds of thousands of never-approved clones stay
-    cheap: their class is scored once per deletion set.
+    Identical ballots collapse into ballot types with multiplicities, and
+    the approved pool candidates into classes keyed by the ballot types
+    approving them; never-approved candidates are only counted, so a
+    padded roster costs nothing per clone. Each class keeps a histogram
+    of its approvers' ballot sizes. An action moves the added, deleted
+    or shrunk ballot types between size buckets, and class scores are
+    integers over one common denominator per action (NSAV scores less the
+    penalty every candidate pays alike, so only their order is exact).
     """
 
-    def __init__(self, rule: Rule, election: Election, k: int, wanted: frozenset):
-        self.rule = rule
-        self.k = k
-        self.wanted = wanted
-        self.sizes = [len(v) for v in election.votes]
-        self.m = election.m
-        self.approvers = election.approver_sets
-        self.classes = []
-        for key, members in election.approval_classes.items():
-            by_size = {}
-            for i in key:
-                by_size[self.sizes[i]] = by_size.get(self.sizes[i], 0) + 1
-            self.classes.append((key, members, frozenset(members), by_size))
-        self.size_counter = {}
-        for s in self.sizes:
-            self.size_counter[s] = self.size_counter.get(s, 0) + 1
-
-    def jcc_after_deleting(self, deleted: frozenset) -> bool:
-        m = self.m - len(deleted)
-        affected = {}
-        for c in deleted:
-            for vid in self.approvers[c]:
-                affected[vid] = affected.get(vid, 0) + 1
-        sizes = dict(self.size_counter)
-        for vid, drop in affected.items():
-            old = self.sizes[vid]
-            sizes[old] -= 1
-            sizes[old - drop] = sizes.get(old - drop, 0) + 1
-        penalty = Fraction(0)
-        if self.rule.kind == "NSAV":
-            penalty = sum(
-                (Fraction(cnt, m - s) for s, cnt in sizes.items() if cnt and s != m),
-                Fraction(0),
-            )
-
-        def class_score(key, by_size):
-            if self.rule.kind == "AV":
-                return Fraction(len(key))
-            local = by_size
-            if affected:
-                local = dict(by_size)
-                for vid, drop in affected.items():
-                    if vid in key:
-                        local[self.sizes[vid]] -= 1
-                        new = self.sizes[vid] - drop
-                        local[new] = local.get(new, 0) + 1
-            score = sum((Fraction(cnt, s) for s, cnt in local.items() if cnt and s), Fraction(0))
-            if self.rule.kind == "NSAV":
-                regained = sum(
-                    (Fraction(cnt, m - s) for s, cnt in local.items() if cnt and s and s != m),
-                    Fraction(0),
-                )
-                score += regained - penalty
-            return score
-
-        weighted = []
-        score_of = {}
-        for key, members, member_set, by_size in self.classes:
-            count = len(members) - sum(1 for c in deleted if c in member_set)
-            if not count and not (self.wanted & member_set):
-                continue
-            score = class_score(key, by_size)
+    def __init__(self, instance: ControlInstance):
+        self.kind = instance.rule.kind
+        self.k = instance.k
+        self.wanted = instance.distinguished
+        self.m = len(instance.registered_candidates)
+        unregistered = frozenset(instance.unregistered_candidates)
+        type_id: dict = {}
+        for ballot in instance.registered_votes + instance.unregistered_votes:
+            type_id.setdefault(ballot, len(type_id))
+        self.registered_type = [type_id[b] for b in instance.registered_votes]
+        self.unregistered_type = [type_id[b] for b in instance.unregistered_votes]
+        # live size: the ballot restricted to the registered roster
+        self.size = [len(b) - len(b & unregistered) for b in type_id]
+        self.mult = [0] * len(type_id)
+        for t in self.registered_type:
+            self.mult[t] += 1
+        approving: dict = {}
+        for ballot, t in type_id.items():
+            for c in ballot:
+                approving.setdefault(c, []).append(t)
+        # class 0 holds every never-approved candidate
+        self.class_types = [()]
+        self.class_count = [self.m - len(approving.keys() - unregistered)]
+        self.class_of: dict = {}
+        index_of: dict = {}
+        for c, types in approving.items():
+            key = tuple(types)
+            if key not in index_of:
+                index_of[key] = len(self.class_types)
+                self.class_types.append(key)
+                self.class_count.append(0)
+            self.class_of[c] = index_of[key]
+            if c not in unregistered:
+                self.class_count[index_of[key]] += 1
+        self.type_classes = [[] for _ in type_id]
+        self.histogram = []
+        for ci, types in enumerate(self.class_types):
+            hist: dict = {}
+            for t in types:
+                self.type_classes[t].append(ci)
+                if self.mult[t]:
+                    hist[self.size[t]] = hist.get(self.size[t], 0) + self.mult[t]
+            self.histogram.append(hist)
+        self.totals: dict = {}
+        for t, count in enumerate(self.mult):
             if count:
-                weighted.append((score, count))
-            for c in self.wanted & member_set:
-                if c not in deleted:
-                    score_of[c] = score
-        if len(self.wanted & set(score_of)) != len(self.wanted):
+                self.totals[self.size[t]] = self.totals.get(self.size[t], 0) + count
+        self.wanted_classes = {self.class_of.get(c, 0) for c in self.wanted}
+
+    def jcc_after(self, solution: ControlSolution) -> bool:
+        """Decide J-CC on `apply_control(instance, solution)` without building it."""
+        if not self.wanted.isdisjoint(solution.deleted_candidates):
             return False
-        weighted.sort(reverse=True)
-        seen = 0
-        threshold = None
-        for score, count in weighted:
-            seen += count
-            if seen >= self.k:
-                threshold = score
-                break
-        at_threshold = sum(count for score, count in weighted if score == threshold)
-        pool = sum(count for score, count in weighted if score >= threshold)
-        for c in self.wanted:
-            if score_of[c] > threshold:
+        m = self.m + len(solution.added_candidates) - len(solution.deleted_candidates)
+        if m < self.k:
+            return False
+        # (ballot type, size bucket) -> change in live votes
+        bucket_delta: dict = {}
+        for sign, ids, types in (
+            (-1, solution.deleted_votes, self.registered_type),
+            (1, solution.added_votes, self.unregistered_type),
+        ):
+            for i in ids:
+                key = (types[i], self.size[types[i]])
+                bucket_delta[key] = bucket_delta.get(key, 0) + sign
+        counts = list(self.class_count)
+        shift: dict = {}
+        for sign, cands in ((-1, solution.deleted_candidates), (1, solution.added_candidates)):
+            for c in cands:
+                ci = self.class_of.get(c, 0)
+                counts[ci] += sign
+                for t in self.class_types[ci]:
+                    shift[t] = shift.get(t, 0) + sign
+        for t, delta in shift.items():
+            if delta and self.mult[t]:
+                bucket_delta[t, self.size[t]] = -self.mult[t]
+                bucket_delta[t, self.size[t] + delta] = self.mult[t]
+        totals = dict(self.totals)
+        class_delta: dict = {}
+        for (t, s), delta in bucket_delta.items():
+            totals[s] = totals.get(s, 0) + delta
+            for ci in self.type_classes[t]:
+                hist = class_delta.setdefault(ci, {})
+                hist[s] = hist.get(s, 0) + delta
+        # what one approving vote of each live size is worth, scaled to an
+        # int; NSAV scores drop the penalty every candidate pays alike, which
+        # keeps their order, and an approving vote is spared its share of it
+        live = [s for s, count in totals.items() if count and s]
+        if self.kind == "AV":
+            weight = dict.fromkeys(live, 1)
+        elif self.kind == "SAV":
+            scale = math.lcm(*live)
+            weight = {s: scale // s for s in live}
+        else:
+            scale = math.lcm(*live, *(m - s for s in live if s != m))
+            weight = {s: scale // s + (scale // (m - s) if s != m else 0) for s in live}
+        weighted, wanted_scores = [], []
+        for ci, hist in enumerate(self.histogram):
+            if not counts[ci] and ci not in self.wanted_classes:
                 continue
-            if score_of[c] < threshold:
-                return False
-            if at_threshold != 1 and pool != self.k:
-                return False
-        return True
+            if ci in class_delta:
+                hist = dict(hist)
+                for s, delta in class_delta[ci].items():
+                    hist[s] = hist.get(s, 0) + delta
+            score = sum(count * weight[s] for s, count in hist.items() if count)
+            if counts[ci]:
+                weighted.append((score, counts[ci]))
+            if ci in self.wanted_classes:
+                wanted_scores.append(score)
+        return core.jcc_from_scores(weighted, self.k, wanted_scores)
 
 
 def solve_control_bruteforce(
@@ -351,20 +379,17 @@ def solve_control_bruteforce(
     """
     limit = effective_cap(cap if cap is not None else SUBSET_CAP)
     oracle = None
-    if instance.ctype == "CCDC" and instance.rule.is_additive and jcc_algo == "auto":
-        oracle = _AdditiveDeletionOracle(
-            instance.rule, instance.base_election, instance.k, instance.distinguished
-        )
+    if instance.ctype != "JCC" and instance.rule.is_additive and jcc_algo == "auto":
+        oracle = _AdditiveControlOracle(instance)
     tried = 0
     for solution in _solution_stream(instance, deletion_pool):
         tried += 1
         if tried > limit:
             raise ResourceCapError(f"control search exceeded the cap {limit}")
-        if oracle is not None:
-            if oracle.jcc_after_deleting(frozenset(solution.deleted_candidates)):
-                if control_succeeds(instance, solution, jcc_algo):
-                    return Verdict(True, solution)
-        elif control_succeeds(instance, solution, jcc_algo):
+        if oracle is not None and not oracle.jcc_after(solution):
+            continue
+        # an oracle YES is re-verified on the rebuilt election
+        if control_succeeds(instance, solution, jcc_algo):
             return Verdict(True, solution)
     return Verdict(False)
 
@@ -448,20 +473,6 @@ def _ballot_groups(votes: Sequence[frozenset]):
     return sorted(groups.items(), key=lambda kv: sorted(kv[0]))
 
 
-def _per_vote_score(rule, ballot, candidate, m):
-    if rule.kind == "AV":
-        return Fraction(1) if candidate in ballot else Fraction(0)
-    if rule.kind == "SAV":
-        return Fraction(1, len(ballot)) if candidate in ballot else Fraction(0)
-    if rule.kind == "NSAV":
-        if candidate in ballot:
-            return Fraction(1, len(ballot))
-        if len(ballot) != m:
-            return -Fraction(1, m - len(ballot))
-        return Fraction(0)
-    raise UnsupportedRuleError(f"{rule.kind} is not additive")
-
-
 def solve_ccadv_additive_fpt(instance: ControlInstance, cap: Optional[int] = None) -> Verdict:
     """CCAV/CCDV/CCADV for additive rules: guess the weakest distinguished
     candidate and which rivals must end strictly below it, then solve the
@@ -498,11 +509,11 @@ def solve_ccadv_additive_fpt(instance: ControlInstance, cap: Optional[int] = Non
                 def score_delta(c):
                     coeffs = {}
                     for ballot, name in dels:
-                        coeffs[name] = coeffs.get(name, Fraction(0)) - _per_vote_score(
+                        coeffs[name] = coeffs.get(name, Fraction(0)) - core.per_vote_score(
                             rule, ballot, c, m
                         )
                     for ballot, name in adds:
-                        coeffs[name] = coeffs.get(name, Fraction(0)) + _per_vote_score(
+                        coeffs[name] = coeffs.get(name, Fraction(0)) + core.per_vote_score(
                             rule, ballot, c, m
                         )
                     return coeffs

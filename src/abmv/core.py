@@ -91,12 +91,19 @@ class Election:
 
     @cached_property
     def approver_sets(self) -> dict:
-        """Candidate -> frozenset of indices of the votes approving it."""
-        approvers = {c: set() for c in self.candidates}
+        """Candidate -> frozenset of indices of the votes approving it.
+
+        Never-approved candidates (padding clones) all share one empty
+        frozenset, so padded rosters cost one dict entry per candidate.
+        """
+        approvers: dict = {}
         for i, vote in enumerate(self.votes):
             for c in vote:
-                approvers[c].add(i)
-        return {c: frozenset(ids) for c, ids in approvers.items()}
+                approvers.setdefault(c, []).append(i)
+        sets = dict.fromkeys(self.candidates, frozenset())
+        for c, ids in approvers.items():
+            sets[c] = frozenset(ids)
+        return sets
 
     @cached_property
     def approval_classes(self) -> dict:
@@ -257,6 +264,17 @@ def _nsav_score(election: Election, candidate: str) -> Fraction:
     return total
 
 
+def per_vote_score(rule: Rule, ballot: frozenset, candidate: str, m: int) -> Fraction:
+    """What one ballot adds to a candidate's AV, SAV, or NSAV score among m candidates."""
+    if not rule.is_additive:
+        raise UnsupportedRuleError(f"{rule.kind} is not additive")
+    if candidate in ballot:
+        return Fraction(1) if rule.kind == "AV" else Fraction(1, len(ballot))
+    if rule.kind == "NSAV" and len(ballot) != m:
+        return -Fraction(1, m - len(ballot))
+    return ZERO
+
+
 def additive_candidate_score(rule: Rule, election: Election, candidate: str) -> Fraction:
     """Score one candidate under AV, SAV, or NSAV."""
     election.index(candidate)
@@ -350,33 +368,52 @@ class ThresholdPartition:
         return self.swin | self.pwin
 
 
-def _class_threshold(class_scores: list, k: int):
-    """(threshold, count_at_threshold) for the k-th largest candidate score."""
-    weighted = sorted(((score, len(members)) for score, members in class_scores), reverse=True)
-    seen = 0
-    threshold = None
+def class_threshold(weighted: Iterable, k: int) -> tuple:
+    """(threshold, at_threshold, pool_size) of (score, count) pairs.
+
+    The threshold is the k-th largest score counted with multiplicity,
+    at_threshold how many candidates attain it, and pool_size how many
+    score at least it. Scores may be Fractions or integers scaled by a
+    common denominator; only their order matters.
+    """
+    totals: dict = {}
     for score, count in weighted:
-        seen += count
-        if seen >= k:
-            threshold = score
-            break
-    at_threshold = sum(count for score, count in weighted if score == threshold)
-    return threshold, at_threshold
+        totals[score] = totals.get(score, 0) + count
+    pool_size = 0
+    for score in sorted(totals, reverse=True):
+        pool_size += totals[score]
+        if pool_size >= k:
+            return score, totals[score], pool_size
+    raise DomainError(f"k={k} out of range for {pool_size} candidates")
+
+
+def jcc_from_scores(weighted: Iterable, k: int, wanted_scores: Iterable) -> bool:
+    """Are candidates scoring `wanted_scores` in every winning k-committee?
+
+    `weighted` holds (score, count) pairs for the whole roster. A score
+    above the threshold is always elected; a threshold score only when
+    the committee is forced (unique attainment or a pool of exactly k).
+    """
+    threshold, at_threshold, pool_size = class_threshold(weighted, k)
+    forced = at_threshold == 1 or pool_size == k
+    return all(s > threshold or (s == threshold and forced) for s in wanted_scores)
 
 
 def k_winning_threshold(rule: Rule, election: Election, k: int) -> Fraction:
     """The k-th largest candidate score, ties counted with multiplicity."""
     if not 1 <= k <= election.m:
         raise DomainError(f"k={k} out of range for {election.m} candidates")
-    threshold, _ = _class_threshold(additive_class_scores(rule, election), k)
-    return threshold
+    weighted = ((score, len(members)) for score, members in additive_class_scores(rule, election))
+    return class_threshold(weighted, k)[0]
 
 
 def partition_candidates(rule: Rule, election: Election, k: int) -> ThresholdPartition:
     if not 1 <= k <= election.m:
         raise DomainError(f"k={k} out of range for {election.m} candidates")
     class_scores = additive_class_scores(rule, election)
-    threshold, at_threshold = _class_threshold(class_scores, k)
+    threshold, at_threshold, _ = class_threshold(
+        ((score, len(members)) for score, members in class_scores), k
+    )
     swin, pwin, slose = [], [], []
     for score, members in class_scores:
         if score > threshold:
@@ -397,24 +434,14 @@ def additive_jcc(rule: Rule, election: Election, k: int, distinguished: Iterable
     wanted = frozenset(distinguished)
     for c in wanted:
         election.index(c)
+    keys = {election.approver_sets[c] for c in wanted}
     class_scores = additive_class_scores(rule, election)
-    threshold, at_threshold = _class_threshold(class_scores, k)
-    score_of = {}
-    for score, members in class_scores:
-        for c in members:
-            if c in wanted:
-                score_of[c] = score
-    pool_size = sum(len(members) for score, members in class_scores if score >= threshold)
-    for c in wanted:
-        if score_of[c] > threshold:
-            continue
-        if score_of[c] < threshold:
-            return False
-        # threshold-score candidate: in every winning committee only when
-        # the committee is forced (unique attainment or pool of exactly k)
-        if at_threshold != 1 and pool_size != k:
-            return False
-    return True
+    # additive_class_scores follows the order of election.approval_classes
+    wanted_scores = [
+        score for key, (score, _) in zip(election.approval_classes, class_scores) if key in keys
+    ]
+    weighted = [(score, len(members)) for score, members in class_scores]
+    return jcc_from_scores(weighted, k, wanted_scores)
 
 
 @dataclass(frozen=True)

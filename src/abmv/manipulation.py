@@ -12,6 +12,7 @@ applicability domain.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -677,22 +678,6 @@ def _score_partitions(candidates, k):
                     yield frozenset(sure), frozenset(tied)
 
 
-def _per_vote_score(rule, ballot: frozenset, candidate: str, m: int) -> Fraction:
-    if rule.kind == "AV":
-        return Fraction(1) if candidate in ballot else Fraction(0)
-    if rule.kind == "SAV":
-        if candidate in ballot:
-            return Fraction(1, len(ballot))
-        return Fraction(0)
-    if rule.kind == "NSAV":
-        if candidate in ballot:
-            return Fraction(1, len(ballot))
-        if len(ballot) != m:
-            return -Fraction(1, m - len(ballot))
-        return Fraction(0)
-    raise UnsupportedRuleError(f"{rule.kind} is not additive")
-
-
 def _reassignment_program(instance, swin, pwin):
     """Variables count manipulators moving from each truthful ballot to each
     new ballot; constraints pin the guessed winning collection exactly."""
@@ -722,7 +707,7 @@ def _reassignment_program(instance, swin, pwin):
         coeffs = {}
         for (src, dst), name in names.items():
             contribution = sum(
-                (_per_vote_score(rule, dst, c, m) for c in members), Fraction(0)
+                (core.per_vote_score(rule, dst, c, m) for c in members), Fraction(0)
             )
             if contribution:
                 coeffs[name] = coeffs.get(name, Fraction(0)) + contribution
@@ -948,7 +933,10 @@ def solve_savnsav_const_manipulators(
     group_keys = sorted(groups, key=sorted)
     group_members = [groups[key] for key in group_keys]
     group_sizes = [len(ms) for ms in group_members]
-    outside = [c for c in instance.candidates if c not in instance.approved_union]
+    # adding the same `nothing` gain to every outside candidate keeps their
+    # order, so one sorted list answers every threshold guess by bisection
+    outside_base = sorted(base[c] for c in instance.candidates if c not in instance.approved_union)
+    base_values = set(base.values())
     old_overlap = [len(v & w) for v in instance.manipulative_votes]
     k = instance.k
 
@@ -974,14 +962,15 @@ def solve_savnsav_const_manipulators(
         def h_of(subset, c):
             return base[c] + gain[subset]
 
-        s_values = {base[c] + nothing for c in instance.candidates}
+        s_values = {b + nothing for b in base_values}
         for c in instance.approved_union:
             for subset in subsets:
                 s_values.add(base[c] + gain[subset])
-        outside_scores = [base[c] + nothing for c in outside]
         for s in sorted(s_values):
-            out_gt = sum(1 for v in outside_scores if v > s)
-            out_eq = sum(1 for v in outside_scores if v == s)
+            below = bisect_left(outside_base, s - nothing)
+            not_above = bisect_right(outside_base, s - nothing)
+            out_gt = len(outside_base) - not_above
+            out_eq = not_above - below
             for mode in modes:
                 tables = []
                 feasible = True

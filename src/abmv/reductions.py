@@ -523,11 +523,11 @@ def _strategic_answer(kind: str, instance, cap=None) -> bool:
     if instance.ctype == "CCDC":
         # padding clones are approved by nobody; deleting them never changes
         # any strict score comparison, so they stay out of the search
-        election = instance.base_election
+        approved = frozenset().union(*instance.registered_votes)
         deletion_pool = [
             c
             for c in instance.registered_candidates
-            if election.approver_sets[c] and c not in instance.distinguished
+            if c in approved and c not in instance.distinguished
         ]
     verdict = ctl.solve_control_bruteforce(instance, cap=cap, deletion_pool=deletion_pool)
     return verdict.yes

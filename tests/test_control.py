@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from abmv import core, control as ctl, winners
+from abmv import core, control as ctl, reductions as red, winners
 from abmv.core import ABCCV, AV, MAV, NSAV, PAV, SAV, Election, UnsupportedRuleError, ValidationError
 from abmv.control import (
     ControlInstance,
@@ -104,6 +105,79 @@ class TestBruteForce:
             )
             if solve_control_bruteforce(inst).yes:
                 assert solve_control_bruteforce(bigger).yes
+
+
+@st.composite
+def additive_control_instances(draw):
+    """Small AV/SAV/NSAV control instances of all six types.
+
+    Ballots may repeat, be empty or approve the whole pool, and the
+    registered roster may carry never-approved padding candidates.
+    """
+    rule = draw(st.sampled_from([AV, SAV, NSAV]))
+    ctype = draw(st.sampled_from(["CCAV", "CCDV", "CCADV", "CCAC", "CCDC", "CCADC"]))
+    voter = ctype in ("CCAV", "CCDV", "CCADV")
+    m = draw(st.integers(1, 4))
+    registered = [f"c{i}" for i in range(m)]
+    unregistered = [] if voter else [f"d{i}" for i in range(draw(st.integers(0, 3)))]
+    registered += [f"~dummy{i}" for i in range(draw(st.integers(0, 3)))]
+    whole = frozenset(registered + unregistered)
+    ballot = st.one_of(
+        st.frozensets(st.sampled_from(registered[:m] + unregistered)),
+        st.just(frozenset()),
+        st.just(whole),
+    )
+    votes = draw(st.lists(ballot, max_size=5))
+    votes += draw(st.lists(st.sampled_from(votes), max_size=3)) if votes else []
+    extra = draw(st.lists(ballot, max_size=4)) if voter else []
+    k = draw(st.integers(1, min(m, 3)))
+    wanted = draw(st.sets(st.sampled_from(registered[:m]), min_size=1, max_size=k))
+    adds = len(extra) if voter else len(unregistered)
+    budget_add = draw(st.integers(0, min(adds, 2))) if ctype in ("CCAV", "CCADV", "CCAC", "CCADC") else None
+    deletes = len(votes) if voter else len(registered)
+    budget_delete = draw(st.integers(0, min(deletes, 2))) if ctype in ("CCDV", "CCADV", "CCDC", "CCADC") else None
+    return ControlInstance(
+        ctype, rule, registered, votes, k, wanted,
+        unregistered_candidates=unregistered, unregistered_votes=extra,
+        budget_add=budget_add, budget_delete=budget_delete,
+    )
+
+
+class TestAdditiveControlOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(additive_control_instances())
+    def test_matches_rebuilt_bruteforce_on_every_action(self, inst):
+        oracle = ctl._AdditiveControlOracle(inst)
+        for solution in ctl._solution_stream(inst):
+            assert oracle.jcc_after(solution) == control_succeeds(inst, solution, "bruteforce"), solution
+
+    @pytest.mark.parametrize(
+        "sets,answer",
+        [
+            ([("a0", "a1", "a2")] * 3, True),
+            (
+                [("a0", "a2", "a3"), ("a1", "a3", "a4"), ("a0", "a3", "a5"),
+                 ("a1", "a2", "a5"), ("a2", "a4", "a5"), ("a0", "a1", "a4")],
+                False,
+            ),
+        ],
+    )
+    def test_padded_nsav_ccav_rebuilds_only_to_verify_yes(self, monkeypatch, sets, answer):
+        universe = sorted({a for s in sets for a in s})
+        inst = red.generate("CcavNsavRx3c", red.Rx3cInstance(universe, sets))
+        calls = []
+        real = ctl.apply_control
+
+        def counting(instance, solution):
+            calls.append(solution)
+            return real(instance, solution)
+
+        monkeypatch.setattr(ctl, "apply_control", counting)
+        verdict = solve_control_bruteforce(inst)
+        assert verdict.yes == answer
+        assert len(calls) == (1 if answer else 0)
+        if answer:
+            assert calls == [verdict.witness]
 
 
 class TestCcdvMavPoly:
