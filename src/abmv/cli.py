@@ -1,10 +1,11 @@
 """Command-line surface.
 
 Verdict commands exit 0 for YES, 1 for NO, 2 on usage or validation
-errors, and 3 when a resource cap refuses an exact search. `--json`
-emits a machine-readable result (sorted keys, so identical inputs and
-seeds give byte-identical output). ABMV_NODE_CAP in the environment
-overrides the solver caps.
+errors, 3 when a resource cap refuses an exact search, and 4 on an
+internal error (a bug, never a verdict), reported on stderr as
+`internal error: <repr>`. `--json` emits a machine-readable result
+(sorted keys, so identical inputs and seeds give byte-identical
+output). ABMV_NODE_CAP in the environment overrides the solver caps.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 
 def _rule_from_args(args) -> Rule:
@@ -325,6 +327,10 @@ def main(argv=None) -> int:
     except (ValidationError, UnsupportedRuleError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # anything else is a bug; exiting 1 would read as NO
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

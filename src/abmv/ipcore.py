@@ -168,9 +168,10 @@ def _propagate(rows, lower, upper):
 def solve_ip(program: IntegerProgram, node_cap: Optional[int] = None) -> IpResult:
     """Depth-first search over variable domains with propagation.
 
-    Complete within the node cap; a cap hit is reported as CAP_EXCEEDED,
-    distinguishable from infeasibility. Feasible results are certified
-    with `check_solution` before being returned.
+    The search runs from an explicit stack, so deep programs need no
+    recursion. Complete within the node cap; a cap hit is reported as
+    CAP_EXCEEDED, distinguishable from infeasibility. Feasible results
+    are certified with `check_solution` before being returned.
     """
     cap = effective_cap(node_cap if node_cap is not None else IP_NODE_CAP)
     names = program.variable_names()
@@ -184,39 +185,28 @@ def solve_ip(program: IntegerProgram, node_cap: Optional[int] = None) -> IpResul
             return IpResult(INFEASIBLE)
 
     nodes = 0
-
-    def search(lower, upper):
-        nonlocal nodes
-        if not _propagate(rows, lower, upper):
-            return None
-        branch = None
-        for j in range(len(lower)):
-            if lower[j] < upper[j]:
-                branch = j
+    # one frame per depth: [propagated lower, propagated upper, branch variable, next value]
+    stack = []
+    while True:
+        if _propagate(rows, lower, upper):
+            branch = next((j for j in range(len(lower)) if lower[j] < upper[j]), None)
+            if branch is None:
+                assignment = dict(zip(names, lower))
                 break
-        if branch is None:
-            return dict(zip(names, lower))
-        for value in range(lower[branch], upper[branch] + 1):
-            nodes += 1
-            if nodes > cap:
-                raise _CapHit
-            lo2, up2 = list(lower), list(upper)
-            lo2[branch] = up2[branch] = value
-            found = search(lo2, up2)
-            if found is not None:
-                return found
-        return None
-
-    try:
-        assignment = search(list(lower), list(upper))
-    except _CapHit:
-        return IpResult(CAP_EXCEEDED)
-    if assignment is None:
-        return IpResult(INFEASIBLE)
+            stack.append([lower, upper, branch, lower[branch]])
+        while stack:
+            frame_lower, frame_upper, branch, value = stack[-1]
+            if value <= frame_upper[branch]:
+                break
+            stack.pop()
+        else:
+            return IpResult(INFEASIBLE)
+        stack[-1][3] = value + 1
+        nodes += 1
+        if nodes > cap:
+            return IpResult(CAP_EXCEEDED)
+        lower, upper = list(frame_lower), list(frame_upper)
+        lower[branch] = upper[branch] = value
     if not check_solution(program, assignment):
         raise AssertionError("solver produced an uncertified assignment")
     return IpResult(FEASIBLE, assignment)
-
-
-class _CapHit(Exception):
-    pass

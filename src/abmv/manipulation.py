@@ -15,7 +15,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 from typing import Iterable, Optional, Sequence
 
 from abmv import core, winners
@@ -175,13 +175,16 @@ def sd_dominates(coll_a, coll_b, subject: Iterable[str]) -> SdVerdict:
 
 def _partition_sets(scores: dict, k: int):
     """(swin, pwin) from a candidate->score map."""
-    ordered = sorted(scores.values(), reverse=True)
-    threshold = ordered[k - 1]
-    eq = [c for c, s in scores.items() if s == threshold]
-    gt = frozenset(c for c, s in scores.items() if s > threshold)
-    if len(eq) == 1:
-        return gt | frozenset(eq), frozenset()
-    return gt, frozenset(eq)
+    threshold, at_threshold, _ = core.class_threshold(zip(scores.values(), repeat(1)), k)
+    above, tied = [], []
+    for c, s in scores.items():
+        if s > threshold:
+            above.append(c)
+        elif s == threshold:
+            tied.append(c)
+    if at_threshold == 1:
+        return frozenset(above + tied), frozenset()
+    return frozenset(above), frozenset(tied)
 
 
 def _min_overlap(swin, pwin, k, v) -> int:
@@ -213,8 +216,8 @@ def _additive_accepts(instance, swin, pwin) -> bool:
 def _refined_classes(election: Election, references: Sequence[frozenset]):
     """Clone classes refined so each reference set is a union of classes.
 
-    Returns (sizes, per_vote_classes, in_reference, class_members):
-    per_vote_classes[vid] lists the classes the vote approves entirely;
+    Returns (class_members, in_reference): class_members lists
+    roster-ordered member tuples whose members share an approver set;
     in_reference[r] is the set of classes inside reference r.
     """
     keys = {}
@@ -222,67 +225,11 @@ def _refined_classes(election: Election, references: Sequence[frozenset]):
         key = (election.approver_sets[c],) + tuple(c in r for r in references)
         keys.setdefault(key, []).append(c)
     ordered = sorted(keys.items(), key=lambda kv: election.index(kv[1][0]))
-    sizes = [len(members) for _, members in ordered]
-    per_vote = [[] for _ in range(election.n)]
-    for g, (key, _) in enumerate(ordered):
-        for vid in key[0]:
-            per_vote[vid].append(g)
     in_ref = []
     for r_i in range(len(references)):
         in_ref.append(frozenset(g for g, (key, _) in enumerate(ordered) if key[1 + r_i]))
     members = [tuple(m) for _, m in ordered]
-    return sizes, per_vote, in_ref, members
-
-
-def _optimal_count_vectors(rule, election, k, sizes, per_vote, members, cap):
-    """(best_score, list of count vectors achieving it)."""
-    limit = effective_cap(cap if cap is not None else GUESS_CAP)
-    vote_sizes = [len(v) for v in election.votes]
-    minimizing = rule.orientation == "minimize"
-    best = None
-    best_vectors = []
-    counts = [0] * len(sizes)
-    visited = 0
-    suffix = [0] * (len(sizes) + 1)
-    for g in range(len(sizes) - 1, -1, -1):
-        suffix[g] = suffix[g + 1] + sizes[g]
-    class_scores = None
-    if rule.is_additive:
-        scores = core.additive_scores(rule, election)
-        class_scores = [scores[members[g][0]] for g in range(len(sizes))]
-
-    def score_counts():
-        if class_scores is not None:
-            return sum((counts[g] * class_scores[g] for g in range(len(sizes))), Fraction(0))
-        overlaps = [sum(counts[g] for g in per_vote[vid]) for vid in range(election.n)]
-        if rule.kind == "MAV":
-            if not election.votes:
-                return Fraction(0)
-            return Fraction(max(vote_sizes[v] + k - 2 * overlaps[v] for v in range(election.n)))
-        return sum((rule.omega_value(o) for o in overlaps), Fraction(0))
-
-    def walk(g, remaining):
-        nonlocal best, best_vectors, visited
-        visited += 1
-        if visited > limit:
-            raise ResourceCapError("committee-count enumeration exceeded its cap")
-        if remaining > suffix[g]:
-            return
-        if g == len(sizes):
-            s = score_counts()
-            if best is None or (s < best if minimizing else s > best):
-                best = s
-                best_vectors = [tuple(counts)]
-            elif s == best:
-                best_vectors.append(tuple(counts))
-            return
-        for c in range(min(sizes[g], remaining) + 1):
-            counts[g] = c
-            walk(g + 1, remaining - c)
-        counts[g] = 0
-
-    walk(0, k)
-    return best, best_vectors
+    return members, in_ref
 
 
 def _vector_overlap(vector, class_set) -> int:
@@ -290,10 +237,10 @@ def _vector_overlap(vector, class_set) -> int:
 
 
 def _winning_profile_by_classes(rule, election, k, references, cap):
-    """Optimal count vectors plus reference-class layout for one election."""
-    sizes, per_vote, in_ref, members = _refined_classes(election, references)
-    best, vectors = _optimal_count_vectors(rule, election, k, sizes, per_vote, members, cap)
-    return sizes, in_ref, members, best, vectors
+    """Class sizes, reference-class layout and optimal count vectors for one election."""
+    members, in_ref = _refined_classes(election, references)
+    _, vectors = winners.optimal_count_vectors(rule, election, k, members, cap)
+    return [len(m) for m in members], in_ref, vectors
 
 
 def _distribution(sizes, in_ref_sets, vectors, subjects_idx, k):
@@ -358,7 +305,7 @@ class _ProfileChecker:
             self.base_int = {c: int(base[c] * self.scale) for c in instance.candidates}
         if instance.variant == "SDCM":
             refs = list(instance.manipulative_votes)
-            sizes, in_ref, _, _, vectors = _winning_profile_by_classes(
+            sizes, in_ref, vectors = _winning_profile_by_classes(
                 self.rule, instance.full_election, instance.k, refs, cap
             )
             self.old_distribution = _distribution(
@@ -400,7 +347,7 @@ class _ProfileChecker:
         refs = list(inst.manipulative_votes)
         if inst.current_committee is not None:
             refs.append(inst.current_committee)
-        sizes, in_ref, _, _, vectors = _winning_profile_by_classes(
+        sizes, in_ref, vectors = _winning_profile_by_classes(
             self.rule, election, inst.k, refs, self.cap
         )
         if inst.variant == "SDCM":

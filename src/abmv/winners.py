@@ -177,57 +177,81 @@ def _class_layout(election: Election):
     return classes, per_vote
 
 
-def optimal_score_by_classes(rule: Rule, election: Election, k: int, cap: Optional[int] = None) -> Fraction:
-    """Optimum committee score found by enumerating per-class member counts.
+def optimal_count_vectors(rule: Rule, election: Election, k: int, classes, cap: Optional[int] = None) -> tuple:
+    """(optimum, every optimal count vector) over the k-committees.
 
-    Candidates with the same approver set are interchangeable, so a
+    `classes` partitions the roster into tuples of candidates sharing
+    one approver set. Such candidates are interchangeable, so a
     committee's score depends only on how many members it takes from
     each class; this stays feasible when the roster is huge but the vote
-    multiset is small.
+    multiset is small. Vectors are enumerated depth-first from an
+    explicit stack, smallest counts first, and returned in that order.
+    Every visited node, pruned or not, counts against the cap. The
+    optimum is None when no vector fills k seats.
     """
-    classes, per_vote = _class_layout(election)
-    sizes = [len(members) for _, members in classes]
-    vote_sizes = [len(v) for v in election.votes]
     limit = effective_cap(cap if cap is not None else GUESS_CAP)
-    minimizing = rule.orientation == "minimize"
-    best = None
-    counts = [0] * len(classes)
-    visited = 0
+    sizes = [len(members) for members in classes]
+    approvers = [election.approver_sets[members[0]] for members in classes]
+    suffix = [0] * (len(sizes) + 1)
+    for g in range(len(sizes) - 1, -1, -1):
+        suffix[g] = suffix[g + 1] + sizes[g]
+    vote_sizes = [len(v) for v in election.votes]
     class_scores = None
     if rule.is_additive:
-        per_class = {members[0]: s for s, members in core.additive_class_scores(rule, election)}
-        class_scores = [per_class[members[0]] for _, members in classes]
+        # additive_class_scores follows the order of election.approval_classes
+        scored = core.additive_class_scores(rule, election)
+        by_key = {key: score for key, (score, _) in zip(election.approval_classes, scored)}
+        class_scores = [by_key[key] for key in approvers]
 
-    def score_counts():
+    def score(counts):
+        if not vote_sizes:
+            return core.ZERO
         if class_scores is not None:
-            return sum((counts[g] * class_scores[g] for g in range(len(classes))), Fraction(0))
-        overlaps = [sum(counts[g] for g in per_vote[vid]) for vid in range(election.n)]
+            return sum((c * s for c, s in zip(counts, class_scores)), core.ZERO)
+        overlaps = [0] * len(vote_sizes)
+        for g, c in enumerate(counts):
+            if c:
+                for vid in approvers[g]:
+                    overlaps[vid] += c
         if rule.kind == "MAV":
-            if not election.votes:
-                return Fraction(0)
-            return Fraction(max(vote_sizes[v] + k - 2 * overlaps[v] for v in range(election.n)))
-        return sum((rule.omega_value(o) for o in overlaps), Fraction(0))
+            return Fraction(max(size + k - 2 * o for size, o in zip(vote_sizes, overlaps)))
+        return sum((rule.omega_value(o) for o in overlaps), core.ZERO)
 
-    def walk(g, remaining):
-        nonlocal best, visited
+    minimizing = rule.orientation == "minimize"
+    best, vectors = None, []
+    # counts[:depth] is the stack: one frame per class, holding its count
+    counts = [0] * len(sizes)
+    depth, remaining, visited = 0, k, 0
+    while True:
         visited += 1
         if visited > limit:
             raise ResourceCapError("class-count enumeration exceeded its cap")
-        if g == len(classes):
-            if remaining == 0:
-                s = score_counts()
-                if best is None or (s < best if minimizing else s > best):
-                    best = s
-            return
-        tail = sum(sizes[g:])
-        if remaining > tail:
-            return
-        for c in range(min(sizes[g], remaining) + 1):
-            counts[g] = c
-            walk(g + 1, remaining - c)
-        counts[g] = 0
+        if remaining <= suffix[depth]:
+            if depth < len(sizes):
+                depth += 1  # the first child takes no member of this class
+                continue
+            s = score(counts)
+            if best is None or (s < best if minimizing else s > best):
+                best, vectors = s, [tuple(counts)]
+            elif s == best:
+                vectors.append(tuple(counts))
+        # back up to the deepest class that can take one more member
+        while True:
+            depth -= 1
+            if depth < 0:
+                return best, vectors
+            if counts[depth] < sizes[depth] and remaining > 0:
+                counts[depth] += 1
+                remaining -= 1
+                depth += 1
+                break
+            remaining += counts[depth]
+            counts[depth] = 0
 
-    walk(0, k)
+
+def optimal_score_by_classes(rule: Rule, election: Election, k: int, cap: Optional[int] = None) -> Fraction:
+    """Optimum committee score, enumerated as per-approval-class member counts."""
+    best, _ = optimal_count_vectors(rule, election, k, tuple(election.approval_classes.values()), cap)
     if best is None:
         raise core.DomainError("k exceeds the number of candidates")
     return best

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import abmv
-from abmv import serialize
+from abmv import cli, serialize, winners
 from abmv.core import SAV
 from abmv import manipulation as man, control as ctl
 
@@ -147,6 +147,16 @@ def test_resource_cap_exit_three(tmp_path):
     )
     assert proc.returncode == 3
     assert proc.stderr.startswith("resource cap:")
+
+
+def test_internal_error_exit_four(example_files, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("solver bug")
+
+    monkeypatch.setattr(winners, "winning_committees", broken)
+    code = cli.main(["winners", "--rule", "sav", "-k", "2", str(example_files / "example1.json")])
+    assert code == cli.EXIT_INTERNAL == 4
+    assert capsys.readouterr().err.startswith("internal error: RuntimeError('solver bug')")
 
 
 def test_verify_reductions_fifty_trials(tmp_path):

@@ -83,6 +83,17 @@ def test_matches_enumeration_on_random_programs():
         assert result.feasible == bool(feasible)
         if result.feasible:
             assert check_solution(program, result.assignment)
+            # the search returns the lexicographically first feasible assignment
+            assert result.assignment == feasible[0]
+
+
+def test_deep_program_needs_no_recursion(monkeypatch):
+    # every binary is branched on in turn, 2,000 levels deep
+    monkeypatch.delenv("ABMV_NODE_CAP", raising=False)
+    p = IntegerProgram()
+    names = [p.add_variable(f"x{i}", 0, 1) for i in range(2000)]
+    p.add_constraint([(x, 1) for x in names], "<=", 2000)
+    assert solve_ip(p).status == ipcore.FEASIBLE
 
 
 def test_lp_export_mentions_everything():

@@ -161,3 +161,49 @@ def test_clone_swap_preserves_winning():
                 if a in members and b not in members:
                     swapped = tuple(sorted((members - {a}) | {b}, key=e.index))
                     assert swapped in ws.committees
+
+
+class TestClassCountEnumeration:
+    RULES = (AV, SAV, NSAV, PAV, ABCCV, MAV, core.thiele([0, 2, 3, Fraction(7, 2), 4, 4, 4, 4]))
+
+    def test_matches_exhaustive(self):
+        rng = random.Random(41)
+        for _ in range(60):
+            e = random_election(rng, m_max=7, n_max=5)
+            classes = tuple(e.approval_classes.values())
+            for k in range(1, e.m + 1):
+                for rule in self.RULES:
+                    ws = winning_committees(rule, e, k, strategy="exhaustive")
+                    assert winners.optimal_score_by_classes(rule, e, k) == ws.optimum
+                    best, vectors = winners.optimal_count_vectors(rule, e, k, classes)
+                    assert best == ws.optimum
+                    assert len(set(vectors)) == len(vectors)
+                    assert set(vectors) == {
+                        tuple(len(set(w) & set(members)) for members in classes)
+                        for w in ws.committees
+                    }
+
+    def test_deep_class_layout(self, monkeypatch):
+        # one class per candidate: 1,100 classes deep, far past the recursion limit
+        monkeypatch.delenv("ABMV_NODE_CAP", raising=False)
+        candidates = [f"c{i}" for i in range(1100)]
+        votes = [{f"c{i}" for i in range(1100) if i >> b & 1} for b in range(11)]
+        e = Election(candidates, votes)
+        assert len(e.approval_classes) == 1100
+        assert winners.optimal_score_by_classes(PAV, e, 1) == 10
+        assert (
+            winners.optimal_score_by_classes(MAV, e, 1)
+            == winning_committees(MAV, e, 1, strategy="exhaustive").optimum
+        )
+
+    def test_node_count_is_pinned(self, monkeypatch):
+        # 383 nodes is the visit count of the depth-first count walk on this
+        # election; a change of visit order or pruning moves it
+        monkeypatch.delenv("ABMV_NODE_CAP", raising=False)
+        e = Election(
+            [f"c{i}" for i in range(9)],
+            [{"c0", "c1", "c2"}, {"c2", "c3"}, {"c3", "c4", "c5", "c6"}, {"c0", "c6", "c7"}, {"c1"}],
+        )
+        assert winners.optimal_score_by_classes(PAV, e, 4, cap=383) == Fraction(13, 2)
+        with pytest.raises(ResourceCapError):
+            winners.optimal_score_by_classes(PAV, e, 4, cap=382)
