@@ -249,13 +249,13 @@ class _AdditiveControlOracle:
     approving them; never-approved candidates are only counted, so a
     padded roster costs nothing per clone. Each class keeps a histogram
     of its approvers' ballot sizes. An action moves the added, deleted
-    or shrunk ballot types between size buckets, and class scores are
-    integers over one common denominator per action (NSAV scores less the
-    penalty every candidate pays alike, so only their order is exact).
+    or shrunk ballot types between size buckets, and class scores sum the
+    `core.size_weights` of the action's live sizes (integers that keep
+    the order of the exact scores, not their values).
     """
 
     def __init__(self, instance: ControlInstance):
-        self.kind = instance.rule.kind
+        self.rule = instance.rule
         self.k = instance.k
         self.wanted = instance.distinguished
         self.m = len(instance.registered_candidates)
@@ -338,18 +338,7 @@ class _AdditiveControlOracle:
             for ci in self.type_classes[t]:
                 hist = class_delta.setdefault(ci, {})
                 hist[s] = hist.get(s, 0) + delta
-        # what one approving vote of each live size is worth, scaled to an
-        # int; NSAV scores drop the penalty every candidate pays alike, which
-        # keeps their order, and an approving vote is spared its share of it
-        live = [s for s, count in totals.items() if count and s]
-        if self.kind == "AV":
-            weight = dict.fromkeys(live, 1)
-        elif self.kind == "SAV":
-            scale = math.lcm(*live)
-            weight = {s: scale // s for s in live}
-        else:
-            scale = math.lcm(*live, *(m - s for s in live if s != m))
-            weight = {s: scale // s + (scale // (m - s) if s != m else 0) for s in live}
+        weight = core.size_weights(self.rule, m, [s for s, count in totals.items() if count])
         weighted, wanted_scores = [], []
         for ci, hist in enumerate(self.histogram):
             if not counts[ci] and ci not in self.wanted_classes:

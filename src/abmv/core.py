@@ -11,6 +11,7 @@ winner pool.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -273,6 +274,29 @@ def per_vote_score(rule: Rule, ballot: frozenset, candidate: str, m: int) -> Fra
     if rule.kind == "NSAV" and len(ballot) != m:
         return -Fraction(1, m - len(ballot))
     return ZERO
+
+
+def size_weights(rule: Rule, m: int, sizes: Iterable[int]) -> dict:
+    """Integer worth of one approving ballot of each live size among m candidates.
+
+    Weights share one scale: the lcm of the sizes (under NSAV also of each
+    m - s). An NSAV ballot of size s charges 1/(m-s) to every candidate
+    it does not approve; the weights leave that penalty out and give
+    members 1/s + 1/(m-s) instead. Scores summed from these weights are
+    the true scores times the scale plus one constant per election, so
+    they keep every order and tie. Empty ballots approve nobody and get
+    no weight.
+    """
+    live = {s for s in sizes if s}
+    if rule.kind == "AV":
+        return dict.fromkeys(live, 1)
+    if rule.kind == "SAV":
+        scale = math.lcm(*live)
+        return {s: scale // s for s in live}
+    if rule.kind == "NSAV":
+        scale = math.lcm(*live, *(m - s for s in live if s != m))
+        return {s: scale // s + (scale // (m - s) if s != m else 0) for s in live}
+    raise UnsupportedRuleError(f"{rule.kind} is not additive")
 
 
 def additive_candidate_score(rule: Rule, election: Election, candidate: str) -> Fraction:

@@ -15,7 +15,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product, repeat
+from itertools import combinations, combinations_with_replacement, product, repeat
 from typing import Iterable, Optional, Sequence
 
 from abmv import core, winners
@@ -259,16 +259,17 @@ def _distribution(sizes, in_ref_sets, vectors, subjects_idx, k):
         for s in subjects_idx:
             o = _vector_overlap(vec, in_ref_sets[s])
             per_level[s][min(o, k + 1)] += weight
-    cumulative = {}
-    for s in subjects_idx:
-        counts = per_level[s]
-        cum = [0] * (k + 2)
-        running = 0
-        for i in range(k + 1, -1, -1):
-            running += counts[i]
-            cum[i] = running
-        cumulative[s] = cum
-    return total, cumulative
+    return total, {s: _at_least(per_level[s]) for s in subjects_idx}
+
+
+def _at_least(counts) -> list:
+    """Suffix sums: entry i counts the committees meeting overlap level i."""
+    cum = [0] * len(counts)
+    running = 0
+    for i in range(len(counts) - 1, -1, -1):
+        running += counts[i]
+        cum[i] = running
+    return cum
 
 
 def _sd_dominates_distribution(new_total, new_cum, old_total, old_cum, k) -> bool:
@@ -283,13 +284,45 @@ def _sd_dominates_distribution(new_total, new_cum, old_total, old_cum, k) -> boo
     return strict
 
 
+def _integer_scores(election: Election, weight: dict) -> dict:
+    """Candidate -> sum of `core.size_weights` over its approving votes."""
+    scores = {}
+    for approvers, members in election.approval_classes.items():
+        score = sum(weight[len(election.votes[i])] for i in approvers)
+        for c in members:
+            scores[c] = score
+    return scores
+
+
+def _sd_accepts_partition(instance, swin, pwin, old_distribution) -> bool:
+    """SDCM from the threshold partition of an additive election.
+
+    The winning committees are swin plus any k - |swin| members of pwin,
+    so the committees meeting each overlap level are binomial counts.
+    """
+    k = instance.k
+    rest = k - len(swin)
+    total = math.comb(len(pwin), rest)
+    old_total, old_cum = old_distribution
+    for i, v in enumerate(instance.manipulative_votes):
+        inside = len(pwin & v)
+        sure = len(swin & v)
+        counts = [0] * (k + 2)
+        for j in range(min(inside, rest) + 1):
+            counts[sure + j] = math.comb(inside, j) * math.comb(len(pwin) - inside, rest - j)
+        if not _sd_dominates_distribution(total, _at_least(counts), old_total, old_cum[i], k):
+            return False
+    return True
+
+
 class _ProfileChecker:
     """Evaluates acceptance of candidate ballot profiles for one instance.
 
-    Additive rules run on integer-scaled scores (denominators divide
-    lcm(1..m), so scaling is exact); other rules go through the clone
-    class evaluator. For SDCM the truthful winning distribution is
-    computed once up front.
+    Additive rules read the threshold partition off integer scores (see
+    `core.size_weights`; the scale grows when a profile casts a ballot
+    size not seen before); other rules go through the clone class
+    evaluator. For SDCM the truthful winning distribution is computed
+    once up front with the class evaluator.
     """
 
     def __init__(self, instance: ManipulationInstance, cap=None):
@@ -297,12 +330,9 @@ class _ProfileChecker:
         self.cap = cap
         self.rule = instance.rule
         self.election = instance.base_election
-        self._ballot_cache = {}
         if self.rule.is_additive:
-            m = len(instance.candidates)
-            self.scale = math.lcm(*range(1, m + 1))
-            base = core.additive_scores(self.rule, self.election)
-            self.base_int = {c: int(base[c] * self.scale) for c in instance.candidates}
+            self._sizes = {len(v) for v in instance.honest_votes}
+            self._rescale()
         if instance.variant == "SDCM":
             refs = list(instance.manipulative_votes)
             sizes, in_ref, vectors = _winning_profile_by_classes(
@@ -312,34 +342,32 @@ class _ProfileChecker:
                 sizes, in_ref, vectors, range(len(refs)), instance.k
             )
 
-    def _ballot_weight(self, ballot: frozenset) -> int:
-        cached = self._ballot_cache.get(ballot)
-        if cached is not None:
-            return cached
+    def _rescale(self):
         m = len(self.instance.candidates)
-        size = len(ballot)
-        if self.rule.kind == "AV":
-            weight = self.scale
-        elif self.rule.kind == "SAV":
-            weight = self.scale // size if size else 0
-        else:  # NSAV: members gain the approval and dodge the penalty
-            weight = self.scale // size if size else 0
-            if size < m:
-                weight += self.scale // (m - size)
-        self._ballot_cache[ballot] = weight
-        return weight
+        # an empty ballot approves nobody
+        self.weight = {0: 0, **core.size_weights(self.rule, m, self._sizes)}
+        self.base_int = _integer_scores(self.election, self.weight)
+
+    def _scores(self, profile) -> dict:
+        scores = dict(self.base_int)
+        for ballot in profile:
+            weight = self.weight.get(len(ballot))
+            if weight is None:  # a new ballot size: grow the scale, start over
+                self._sizes.update(len(b) for b in profile)
+                self._rescale()
+                return self._scores(profile)
+            for c in ballot:
+                scores[c] += weight
+        return scores
 
     def accepts(self, profile: Sequence[frozenset]) -> bool:
         inst = self.instance
-        if self.rule.is_additive and inst.variant != "SDCM":
-            scores = dict(self.base_int)
-            for ballot in profile:
-                weight = self._ballot_weight(ballot)
-                for c in ballot:
-                    scores[c] += weight
-            swin, pwin = _partition_sets(scores, inst.k)
-            return _additive_accepts(inst, swin, pwin)
-        return self._general_accepts(profile)
+        if not self.rule.is_additive:
+            return self._general_accepts(profile)
+        swin, pwin = _partition_sets(self._scores(profile), inst.k)
+        if inst.variant == "SDCM":
+            return _sd_accepts_partition(inst, swin, pwin, self.old_distribution)
+        return _additive_accepts(inst, swin, pwin)
 
     def _general_accepts(self, profile) -> bool:
         inst = self.instance
@@ -380,7 +408,9 @@ def certify_manipulation(instance: ManipulationInstance, profile: Sequence[froze
 
     Runs the plain definition (enumerate winning committees, test every
     manipulator) whenever the committee space is enumerable; otherwise
-    falls back to the clone-class evaluation.
+    falls back to the clone-class evaluation, which SDCM always takes so
+    that searches deciding SDCM by the threshold partition are still
+    checked independently.
     """
     if len(profile) != instance.t:
         return False
@@ -404,7 +434,11 @@ def certify_manipulation(instance: ManipulationInstance, profile: Sequence[froze
             for v in instance.manipulative_votes
             for wc in new.committees
         )
-    return _ProfileChecker(instance).accepts(tuple(frozenset(b) for b in profile))
+    checker = _ProfileChecker(instance)
+    profile = tuple(frozenset(b) for b in profile)
+    if instance.variant == "SDCM":
+        return checker._general_accepts(profile)
+    return checker.accepts(profile)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +523,14 @@ def solve_manipulation_bruteforce(
                         seen.add(ballot)
                         options.append(ballot)
             pools.append(options)
-        for profile in product(*pools):
+        if all(options == pools[0] for options in pools):
+            # acceptance and certification see only the multiset of cast
+            # ballots, so the first hit in product order is nondecreasing
+            # and the multiset walk meets it first too
+            profiles = combinations_with_replacement(pools[0], instance.t)
+        else:
+            profiles = product(*pools)
+        for profile in profiles:
             if checker.accepts(profile):
                 if certify_manipulation(instance, profile):
                     return Verdict(True, tuple(profile))
@@ -783,20 +824,6 @@ def solve_sdcm_fpt_m(instance: ManipulationInstance, cap: Optional[int] = None) 
 # the class tables are aggregated into the acceptance inequalities.
 
 
-def _threshold_gains(rule, m, m_sum, subset):
-    """Score shift of a candidate approved by exactly the manipulators in
-    `subset`, given every manipulator's final ballot size."""
-    gain = Fraction(0)
-    for i in subset:
-        if m_sum[i] > 0:
-            gain += Fraction(1, m_sum[i])
-    if rule.kind == "NSAV":
-        for i in range(len(m_sum)):
-            if i not in subset and m_sum[i] < m:
-                gain -= Fraction(1, m - m_sum[i])
-    return gain
-
-
 def _class_table(members, quota, approver_options, h_of, s, w_members, mode):
     """Reachable (above, at, per-manipulator-used) states for one class.
 
@@ -874,14 +901,16 @@ def solve_savnsav_const_manipulators(
     if any(v <= w for v in instance.manipulative_votes):
         return NO  # that manipulator can never strictly gain
     m = len(instance.candidates)
-    election = instance.full_election
-    base = core.additive_scores(rule, instance.base_election)
+    # one scale for every guess: final ballots stay inside the truthful pool
+    sizes = [len(v) for v in instance.honest_votes]
+    weight = core.size_weights(rule, m, sizes + list(range(1, len(instance.approved_union) + 1)))
+    base = _integer_scores(instance.base_election, weight)
     groups = _manipulator_classes(instance)
     group_keys = sorted(groups, key=sorted)
     group_members = [groups[key] for key in group_keys]
     group_sizes = [len(ms) for ms in group_members]
-    # adding the same `nothing` gain to every outside candidate keeps their
-    # order, so one sorted list answers every threshold guess by bisection
+    # outside candidates gain nothing, so one sorted list answers every
+    # threshold guess by bisection
     outside_base = sorted(base[c] for c in instance.candidates if c not in instance.approved_union)
     base_values = set(base.values())
     old_overlap = [len(v & w) for v in instance.manipulative_votes]
@@ -903,19 +932,20 @@ def solve_savnsav_const_manipulators(
         for r in range(len(active) + 1):
             for combo in combinations(active, r):
                 subsets.append(frozenset(combo))
-        gain = {subset: _threshold_gains(rule, m, m_sum, subset) for subset in subsets}
-        nothing = gain[frozenset()]
+        # score shift of a candidate approved by exactly the manipulators in
+        # `subset`, in `core.size_weights` integers: nobody's approval shifts by 0
+        gain = {subset: sum(weight[m_sum[i]] for i in subset) for subset in subsets}
 
         def h_of(subset, c):
             return base[c] + gain[subset]
 
-        s_values = {b + nothing for b in base_values}
+        s_values = set(base_values)
         for c in instance.approved_union:
             for subset in subsets:
                 s_values.add(base[c] + gain[subset])
         for s in sorted(s_values):
-            below = bisect_left(outside_base, s - nothing)
-            not_above = bisect_right(outside_base, s - nothing)
+            below = bisect_left(outside_base, s)
+            not_above = bisect_right(outside_base, s)
             out_gt = len(outside_base) - not_above
             out_eq = not_above - below
             for mode in modes:

@@ -71,6 +71,23 @@ class TestAdditiveScores:
         e = Election(["a", "b"], [{"a", "b"}])
         assert core.additive_candidate_score(NSAV, e, "a") == Fraction(1, 2)
 
+    @settings(max_examples=150, deadline=None)
+    @given(elections(m_max=7, n_max=6), st.sampled_from([AV, SAV, NSAV]))
+    def test_size_weights_are_a_positive_affine_image(self, e, rule):
+        weight = core.size_weights(rule, e.m, [len(v) for v in e.votes])
+        assert all(isinstance(w, int) for w in weight.values())
+        ints = {c: sum(weight[len(e.votes[i])] for i in e.approver_sets[c]) for c in e.candidates}
+        exact = core.additive_scores(rule, e)
+        low = min(e.candidates, key=exact.get)
+        high = max(e.candidates, key=exact.get)
+        if exact[low] == exact[high]:
+            assert len(set(ints.values())) == 1
+            return
+        # one positive factor and one offset carry every exact score to its integer
+        factor = (ints[high] - ints[low]) / (exact[high] - exact[low])
+        assert factor > 0
+        assert all(ints[c] - ints[low] == factor * (exact[c] - exact[low]) for c in e.candidates)
+
 
 class TestCommitteeScore:
     def test_mav_example2(self):

@@ -1,9 +1,23 @@
+import hashlib
 import random
+from itertools import product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from abmv import core, manipulation as man, reductions as red, winners
-from abmv.core import ABCCV, AV, MAV, NSAV, PAV, SAV, Election, UnsupportedRuleError
+from abmv import core, manipulation as man, reductions as red, verification as ver, winners
+from abmv.core import (
+    ABCCV,
+    AV,
+    MAV,
+    NSAV,
+    PAV,
+    SAV,
+    Election,
+    ResourceCapError,
+    UnsupportedRuleError,
+    Verdict,
+)
 from abmv.manipulation import (
     ManipulationInstance,
     certify_manipulation,
@@ -258,3 +272,156 @@ def test_example1_rescored_under_av_matches_bruteforce(example1_election):
     ws = winners.winning_committees(AV, Election(cands, honest + manip), 2, "exhaustive")
     inst = ManipulationInstance(AV, "CBCM", cands, honest, manip, 2, frozenset(ws.committees[0]))
     assert solve_av_const_manipulators(inst).yes == solve_manipulation_bruteforce(inst).yes
+
+
+def reference_bruteforce(inst, pool):
+    """Every ordered profile in `product` order, decided by the class-count
+    evaluator; the search's own decision must agree on each one."""
+    bases, extras = man._ballot_options(inst, pool, None)
+    pools = [list(dict.fromkeys(b | e for b in bases for e in extras[i])) for i in range(inst.t)]
+    checker = man._ProfileChecker(inst)
+    for profile in product(*pools):
+        accepted = checker._general_accepts(profile)
+        assert checker.accepts(profile) == accepted, profile
+        if accepted and certify_manipulation(inst, profile):
+            return Verdict(True, profile)
+    return man.NO
+
+
+@st.composite
+def manipulation_instances(draw):
+    rule = draw(st.sampled_from([AV, SAV, NSAV, PAV, MAV]))
+    variant = draw(st.sampled_from(["CBCM", "SBCM", "SDCM"]))
+    blocked = draw(st.booleans())
+    m = draw(st.integers(2, 3 if blocked else 4))
+    cands = [f"c{i}" for i in range(m)]
+    ballot = st.frozensets(st.sampled_from(cands))
+    nonempty = st.frozensets(st.sampled_from(cands), min_size=1)
+    honest = draw(st.lists(ballot, max_size=4))
+    t = draw(st.integers(1, 2 if blocked or m == 4 else 3))
+    manip = draw(st.lists(nonempty, min_size=t, max_size=t))
+    blocks = ()
+    if blocked:
+        # private blocks make the manipulators' option lists differ
+        blocks = draw(st.lists(st.lists(nonempty, max_size=2), min_size=t, max_size=t))
+    k = draw(st.integers(1, m))
+    committee = None
+    if variant != "SDCM":
+        ws = winners.winning_committees(rule, Election(cands, honest + manip), k, "exhaustive")
+        # the winner the manipulators like least leaves them the most to gain
+        committee = min(ws.committees, key=lambda w: sum(len(v & set(w)) for v in manip))
+    return ManipulationInstance(rule, variant, cands, honest, manip, k, committee, blocks)
+
+
+def _yes_case(rule, variant, m, honest, manip, blocks, k, committee, pool):
+    cands = [f"c{i}" for i in range(m)]
+    return ManipulationInstance(rule, variant, cands, honest, manip, k, committee, blocks), pool
+
+
+# YES instances are rare among random draws, so these make the test compare
+# witnesses; the first seven give the manipulators different private blocks
+YES_CASES = [
+    (AV, "SDCM", 3, [{"c0", "c1"}], [{"c0", "c2"}, {"c1", "c2"}], [[{"c0", "c1", "c2"}], []], 1, None, "auto"),
+    (SAV, "SDCM", 3, [{"c1"}, {"c0", "c1"}, {"c0", "c1", "c2"}, {"c0", "c1"}], [{"c1", "c2"}] * 2,
+     [[{"c0", "c1", "c2"}, {"c1"}], [{"c0", "c2"}, {"c0", "c1", "c2"}]], 2, None, "unrestricted"),
+    (NSAV, "SDCM", 3, [{"c0", "c1", "c2"}, {"c0", "c1"}], [{"c1", "c2"}, {"c0", "c2"}],
+     [[{"c0", "c1"}], [{"c0", "c2"}]], 1, None, "with_committee"),
+    (PAV, "CBCM", 3, [{"c1"}, {"c0", "c1", "c2"}, {"c0"}], [{"c0", "c2"}] * 2,
+     [[{"c2"}, {"c0", "c2"}], [{"c0"}]], 2, {"c0", "c1"}, "auto"),
+    (MAV, "CBCM", 3, [{"c0", "c2"}, {"c0", "c1"}, set(), {"c0", "c1", "c2"}], [{"c1", "c2"}] * 2,
+     [[], [{"c0", "c1", "c2"}]], 2, {"c0", "c1"}, "with_committee"),
+    (MAV, "SBCM", 3, [{"c1", "c2"}, set(), set()], [{"c0", "c1"}] * 2,
+     [[], [{"c0", "c1"}, {"c0", "c1", "c2"}]], 2, {"c0", "c2"}, "auto"),
+    # same ballots, listed in another order: the first hit is (∅, {c0}), not (∅, {c2})
+    (MAV, "SDCM", 3, [set()], [{"c0", "c2"}] * 2, [[{"c2"}], []], 2, None, "with_committee"),
+    (SAV, "CBCM", 4, [{"c1"}, set(), {"c3"}, set()], [{"c0", "c2"}, {"c0", "c3"}], [], 2, {"c1", "c3"},
+     "unrestricted"),
+    (NSAV, "CBCM", 4, [{"c0", "c1", "c2"}, {"c0", "c1", "c2", "c3"}, {"c0", "c1", "c3"}], [{"c2"}, {"c3"}],
+     [], 2, {"c0", "c1"}, "auto"),
+    (AV, "SDCM", 3, [{"c0", "c2"}, {"c0"}], [{"c1", "c2"}, {"c0", "c1"}, {"c1", "c2"}], [], 1, None,
+     "with_committee"),
+    (MAV, "CBCM", 3, [set(), {"c0"}, set()], [{"c0", "c1"}] * 3, [], 2, {"c0", "c2"}, "auto"),
+    (PAV, "SBCM", 3, [{"c2"}, {"c2"}, {"c0", "c2"}], [{"c1", "c2"}], [], 2, {"c0", "c2"}, "auto"),
+    (MAV, "SDCM", 3, [], [{"c0"}, {"c2"}], [], 1, None, "with_committee"),
+]
+
+
+def _with_examples(test):
+    for case in YES_CASES:
+        test = example(*_yes_case(*case))(test)
+    return test
+
+
+@settings(max_examples=150, deadline=None)
+@_with_examples
+@given(manipulation_instances(), st.sampled_from(["auto", "with_committee", "unrestricted"]))
+def test_bruteforce_matches_ordered_class_count_reference(inst, pool):
+    verdict = solve_manipulation_bruteforce(inst, pool=pool)
+    expected = reference_bruteforce(inst, pool)
+    assert (verdict.yes, verdict.witness) == (expected.yes, expected.witness)
+
+
+def test_split_cap_counts_ordered_profiles(monkeypatch):
+    # 8 ballots over the union {a, b, c} and t = 3: the cap still counts
+    # 8**3 = 512 ordered profiles, although the search visits 120 multisets
+    monkeypatch.delenv("ABMV_NODE_CAP", raising=False)
+    inst = ManipulationInstance(
+        AV, "CBCM", ["a", "b", "c", "d"], [{"d"}] * 3, [{"a", "b"}, {"b", "c"}, {"a", "c"}], 1, {"d"}
+    )
+    with pytest.raises(ResourceCapError, match="^512 ballot profiles exceed the cap 511$"):
+        solve_manipulation_bruteforce(inst, cap=511)
+    visited = []
+    accepts = man._ProfileChecker.accepts
+
+    def counted(checker, profile):
+        visited.append(profile)
+        return accepts(checker, profile)
+
+    monkeypatch.setattr(man._ProfileChecker, "accepts", counted)
+    assert not solve_manipulation_bruteforce(inst, cap=512).yes
+    assert len(visited) == 120
+
+
+def test_padded_sdcm_certifies_without_the_partition(monkeypatch):
+    # C(503, 2) > 100,000 committees, so certification takes the fallback,
+    # which must not lean on the partition path the search used
+    cands = core.pad_with_dummies(Election(["c0", "c1", "c2"], []), 500).candidates
+    honest = [{"c0", "c1", "c2"}, {"c0"}, set(), {"c0", "c2"}]
+    inst = ManipulationInstance(SAV, "SDCM", cands, honest, [{"c0", "c1"}], 2)
+    verdict = solve_manipulation_bruteforce(inst)
+    assert verdict.yes and verdict.witness == (frozenset({"c1"}),)
+
+    def refuse(*args):
+        raise AssertionError("certification decided SDCM through the threshold partition")
+
+    monkeypatch.setattr(man, "_sd_accepts_partition", refuse)
+    assert certify_manipulation(inst, verdict.witness)
+    assert not certify_manipulation(inst, inst.manipulative_votes)
+
+
+# draws past the first 250 that are YES instances, so witnesses get pinned too
+PIN_YES_DRAWS = (
+    502, 559, 610, 1044, 1206, 1411, 2074, 2384, 2750, 3163, 3437, 3570, 6406, 6607,
+    6949, 8248, 8852, 8949, 9658, 11501, 12905, 15323, 15445, 17354, 17720, 22708,
+    23864, 25297, 28100,
+)
+PIN_SHA256 = "ba065a64ca76adf4b1c3ae506335899aef6e32f82792f736e9ecada37be7bdef"
+
+
+def test_witness_pin():
+    """Verdicts and witnesses of the searches are those recorded before the
+    multiset walk and the integer SAV/NSAV search."""
+    digest = hashlib.sha256()
+    for i in [*range(250), *PIN_YES_DRAWS]:
+        rng = random.Random(f"witness-pin:{i}")
+        rule = rng.choice([AV, SAV, NSAV, PAV, MAV])
+        variant = rng.choice(["CBCM", "SBCM", "SDCM"])
+        m_max, t_max = (3, 3) if i % 3 == 0 else (4, 2)
+        inst = ver.random_manipulation_instance(rng, rule, variant, m_max, 4, t_max)
+        verdicts = [solve_manipulation_bruteforce(inst)]
+        if rule in (SAV, NSAV) and variant != "SDCM":
+            verdicts.append(solve_savnsav_const_manipulators(inst))
+        for v in verdicts:
+            witness = v.witness and tuple(tuple(sorted(b)) for b in v.witness)
+            digest.update(repr((i, v.yes, witness)).encode())
+    assert digest.hexdigest() == PIN_SHA256
