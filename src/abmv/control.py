@@ -338,7 +338,7 @@ class _AdditiveControlOracle:
             for ci in self.type_classes[t]:
                 hist = class_delta.setdefault(ci, {})
                 hist[s] = hist.get(s, 0) + delta
-        weight = core.size_weights(self.rule, m, [s for s, count in totals.items() if count])
+        _, weight = core.size_weights(self.rule, m, [s for s, count in totals.items() if count])
         weighted, wanted_scores = [], []
         for ci, hist in enumerate(self.histogram):
             if not counts[ci] and ci not in self.wanted_classes:
@@ -477,7 +477,11 @@ def solve_ccadv_additive_fpt(instance: ControlInstance, cap: Optional[int] = Non
     ld = instance.budget_delete or 0
     wanted = sorted(instance.distinguished, key=election.index)
     others = [c for c in election.candidates if c not in instance.distinguished]
-    base = core.additive_scores(rule, election)
+    # one scale covers every ballot; the NSAV penalty the weights leave out
+    # cancels, because every row compares two candidates
+    sizes = [len(v) for v in instance.registered_votes + instance.unregistered_votes]
+    _, weight = core.size_weights(rule, m, sizes)
+    base = core.integer_scores(election, weight)
     v_groups = _ballot_groups(instance.registered_votes)
     u_groups = _ballot_groups(instance.unregistered_votes)
     for weakest in wanted:
@@ -496,15 +500,8 @@ def solve_ccadv_additive_fpt(instance: ControlInstance, cap: Optional[int] = Non
                     program.add_constraint([(name, 1) for _, name in adds], "<=", la)
 
                 def score_delta(c):
-                    coeffs = {}
-                    for ballot, name in dels:
-                        coeffs[name] = coeffs.get(name, Fraction(0)) - core.per_vote_score(
-                            rule, ballot, c, m
-                        )
-                    for ballot, name in adds:
-                        coeffs[name] = coeffs.get(name, Fraction(0)) + core.per_vote_score(
-                            rule, ballot, c, m
-                        )
+                    coeffs = {name: -weight[len(b)] for b, name in dels if c in b}
+                    coeffs.update((name, weight[len(b)]) for b, name in adds if c in b)
                     return coeffs
 
                 anchor = score_delta(weakest)
@@ -513,12 +510,12 @@ def solve_ccadv_additive_fpt(instance: ControlInstance, cap: Optional[int] = Non
                         continue
                     coeffs = score_delta(c)
                     for name, val in anchor.items():
-                        coeffs[name] = coeffs.get(name, Fraction(0)) - val
+                        coeffs[name] = coeffs.get(name, 0) - val
                     program.add_constraint(list(coeffs.items()), ">=", base[weakest] - base[c])
                 for c in below:
                     coeffs = score_delta(c)
                     for name, val in anchor.items():
-                        coeffs[name] = coeffs.get(name, Fraction(0)) - val
+                        coeffs[name] = coeffs.get(name, 0) - val
                     program.add_constraint(list(coeffs.items()), "<", base[weakest] - base[c])
                 result = ipcore.solve_ip(program, cap)
                 if result.status == ipcore.CAP_EXCEEDED:

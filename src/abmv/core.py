@@ -1,8 +1,10 @@
 """Elections, ballots, rules, and exact scoring.
 
-Every score in this module is a `fractions.Fraction`; comparisons are
-therefore decided by cross-multiplied integer arithmetic and ties are
-exact. The additive rules (AV, SAV, NSAV) expose the k-winning-threshold
+Every score this module returns is a `fractions.Fraction`; comparisons
+are therefore decided by cross-multiplied integer arithmetic and ties
+are exact. AV, SAV and NSAV scores are summed in integers from the
+per-size ballot weights of `size_weights` and become `Fraction`s only
+when returned. The additive rules expose the k-winning-threshold
 machinery (`k_winning_threshold`, `partition_candidates`) that the
 strategic solvers build on: a k-committee wins under an additive rule
 iff it contains every sure winner and nothing outside the sure/possible
@@ -246,69 +248,61 @@ def hamming_distance(a: Iterable[str], b: Iterable[str]) -> int:
     return len(frozenset(a) ^ frozenset(b))
 
 
-def _sav_score(election: Election, candidate: str) -> Fraction:
-    total = ZERO
-    for i in election.approver_sets[candidate]:
-        total += Fraction(1, len(election.votes[i]))
-    return total
+def size_weights(rule: Rule, m: int, sizes: Iterable[int]) -> tuple:
+    """(scale, weights): the integer worth of one approving ballot of each live size.
 
-
-def _nsav_score(election: Election, candidate: str) -> Fraction:
-    m = election.m
-    total = ZERO
-    for i, vote in enumerate(election.votes):
-        if candidate in vote:
-            total += Fraction(1, len(vote))
-        elif len(vote) != m:
-            # a vote approving the whole roster penalizes nobody
-            total -= Fraction(1, m - len(vote))
-    return total
-
-
-def per_vote_score(rule: Rule, ballot: frozenset, candidate: str, m: int) -> Fraction:
-    """What one ballot adds to a candidate's AV, SAV, or NSAV score among m candidates."""
-    if not rule.is_additive:
-        raise UnsupportedRuleError(f"{rule.kind} is not additive")
-    if candidate in ballot:
-        return Fraction(1) if rule.kind == "AV" else Fraction(1, len(ballot))
-    if rule.kind == "NSAV" and len(ballot) != m:
-        return -Fraction(1, m - len(ballot))
-    return ZERO
-
-
-def size_weights(rule: Rule, m: int, sizes: Iterable[int]) -> dict:
-    """Integer worth of one approving ballot of each live size among m candidates.
-
-    Weights share one scale: the lcm of the sizes (under NSAV also of each
-    m - s). An NSAV ballot of size s charges 1/(m-s) to every candidate
-    it does not approve; the weights leave that penalty out and give
-    members 1/s + 1/(m-s) instead. Scores summed from these weights are
-    the true scores times the scale plus one constant per election, so
-    they keep every order and tie. Empty ballots approve nobody and get
-    no weight.
+    Among m candidates a ballot of size s adds 1 (AV) or 1/s (SAV, NSAV)
+    to each member, and an NSAV ballot also charges 1/(m-s) to every
+    candidate it does not approve. The weights leave that penalty out and
+    give NSAV members 1/s + 1/(m-s) instead, all times `scale`: the lcm of
+    the sizes (under NSAV also of each m - s). A candidate's exact score
+    is the sum of its approving ballots' weights minus the penalty every
+    candidate pays alike (`nsav_penalty`), over the scale. Empty ballots
+    approve nobody and get no weight.
     """
-    live = {s for s in sizes if s}
+    sizes = set(sizes)
+    live = sizes - {0}
     if rule.kind == "AV":
-        return dict.fromkeys(live, 1)
+        return 1, dict.fromkeys(live, 1)
     if rule.kind == "SAV":
         scale = math.lcm(*live)
-        return {s: scale // s for s in live}
+        return scale, {s: scale // s for s in live}
     if rule.kind == "NSAV":
-        scale = math.lcm(*live, *(m - s for s in live if s != m))
-        return {s: scale // s + (scale // (m - s) if s != m else 0) for s in live}
+        scale = math.lcm(*live, *(m - s for s in sizes if s != m))
+        return scale, {s: scale // s + (scale // (m - s) if s != m else 0) for s in live}
     raise UnsupportedRuleError(f"{rule.kind} is not additive")
+
+
+def nsav_penalty(rule: Rule, m: int, scale: int, sizes: Iterable[int]) -> int:
+    """What every candidate pays to the ballots not approving it, times `scale`.
+
+    Only NSAV charges it, and a ballot approving all m candidates charges
+    nobody. `scale` comes from `size_weights` over the same sizes.
+    """
+    if rule.kind != "NSAV":
+        return 0
+    return sum(scale // (m - s) for s in sizes if s != m)
+
+
+def _integer_class_scores(election: Election, weight: dict) -> list:
+    """(sum of `weight` over the approving votes, members) per approval class."""
+    votes = election.votes
+    return [
+        (sum(weight[len(votes[i])] for i in approvers), members)
+        for approvers, members in election.approval_classes.items()
+    ]
+
+
+def integer_scores(election: Election, weight: dict) -> dict:
+    """Candidate -> sum of `size_weights` weights over its approving votes."""
+    return {c: score for score, members in _integer_class_scores(election, weight) for c in members}
 
 
 def additive_candidate_score(rule: Rule, election: Election, candidate: str) -> Fraction:
     """Score one candidate under AV, SAV, or NSAV."""
-    election.index(candidate)
-    if rule.kind == "AV":
-        return Fraction(len(election.approver_sets[candidate]))
-    if rule.kind == "SAV":
-        return _sav_score(election, candidate)
-    if rule.kind == "NSAV":
-        return _nsav_score(election, candidate)
-    raise UnsupportedRuleError(f"{rule.kind} is not additive")
+    if not rule.is_additive:
+        raise UnsupportedRuleError(f"{rule.kind} is not additive")
+    return committee_score(rule, election, (candidate,))
 
 
 def additive_class_scores(rule: Rule, election: Election) -> list:
@@ -319,31 +313,13 @@ def additive_class_scores(rule: Rule, election: Election) -> list:
     """
     if not rule.is_additive:
         raise UnsupportedRuleError(f"{rule.kind} is not additive")
-    m = election.m
     sizes = [len(v) for v in election.votes]
-    penalty_total = ZERO
-    if rule.kind == "NSAV":
-        by_size: dict = {}
-        for s in sizes:
-            if s != m:
-                by_size[s] = by_size.get(s, 0) + 1
-        penalty_total = sum((Fraction(cnt, m - s) for s, cnt in by_size.items()), ZERO)
-    out = []
-    for approvers, members in election.approval_classes.items():
-        if rule.kind == "AV":
-            score = Fraction(len(approvers))
-        else:
-            positive = sum((Fraction(1, sizes[i]) for i in approvers), ZERO)
-            if rule.kind == "SAV":
-                score = positive
-            else:
-                # add back the penalties the approving votes do not charge
-                regained = sum(
-                    (Fraction(1, m - sizes[i]) for i in approvers if sizes[i] != m), ZERO
-                )
-                score = positive - penalty_total + regained
-        out.append((score, members))
-    return out
+    scale, weight = size_weights(rule, election.m, sizes)
+    penalty = nsav_penalty(rule, election.m, scale, sizes)
+    return [
+        (Fraction(total - penalty, scale), members)
+        for total, members in _integer_class_scores(election, weight)
+    ]
 
 
 def additive_scores(rule: Rule, election: Election) -> dict:
@@ -360,7 +336,11 @@ def committee_score(rule: Rule, election: Election, committee: Iterable[str]) ->
     for c in members:
         election.index(c)
     if rule.is_additive:
-        return sum((additive_candidate_score(rule, election, c) for c in members), ZERO)
+        sizes = [len(v) for v in election.votes]
+        scale, weight = size_weights(rule, election.m, sizes)
+        total = sum(weight[s] * len(v & members) for s, v in zip(sizes, election.votes) if s)
+        penalty = nsav_penalty(rule, election.m, scale, sizes)
+        return Fraction(total - len(members) * penalty, scale)
     if rule.kind == "MAV":
         if not election.votes:
             return ZERO  # empty vote multiset: every committee ties at 0

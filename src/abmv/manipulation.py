@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product, repeat
 from typing import Iterable, Optional, Sequence
 
@@ -284,16 +283,6 @@ def _sd_dominates_distribution(new_total, new_cum, old_total, old_cum, k) -> boo
     return strict
 
 
-def _integer_scores(election: Election, weight: dict) -> dict:
-    """Candidate -> sum of `core.size_weights` over its approving votes."""
-    scores = {}
-    for approvers, members in election.approval_classes.items():
-        score = sum(weight[len(election.votes[i])] for i in approvers)
-        for c in members:
-            scores[c] = score
-    return scores
-
-
 def _sd_accepts_partition(instance, swin, pwin, old_distribution) -> bool:
     """SDCM from the threshold partition of an additive election.
 
@@ -345,8 +334,8 @@ class _ProfileChecker:
     def _rescale(self):
         m = len(self.instance.candidates)
         # an empty ballot approves nobody
-        self.weight = {0: 0, **core.size_weights(self.rule, m, self._sizes)}
-        self.base_int = _integer_scores(self.election, self.weight)
+        self.weight = {0: 0, **core.size_weights(self.rule, m, self._sizes)[1]}
+        self.base_int = core.integer_scores(self.election, self.weight)
 
     def _scores(self, profile) -> dict:
         scores = dict(self.base_int)
@@ -408,9 +397,9 @@ def certify_manipulation(instance: ManipulationInstance, profile: Sequence[froze
 
     Runs the plain definition (enumerate winning committees, test every
     manipulator) whenever the committee space is enumerable; otherwise
-    falls back to the clone-class evaluation, which SDCM always takes so
-    that searches deciding SDCM by the threshold partition are still
-    checked independently.
+    falls back to the clone-class evaluation, never to the threshold
+    partition the searches decide additive profiles with, so their
+    witnesses are still checked independently.
     """
     if len(profile) != instance.t:
         return False
@@ -434,11 +423,7 @@ def certify_manipulation(instance: ManipulationInstance, profile: Sequence[froze
             for v in instance.manipulative_votes
             for wc in new.committees
         )
-    checker = _ProfileChecker(instance)
-    profile = tuple(frozenset(b) for b in profile)
-    if instance.variant == "SDCM":
-        return checker._general_accepts(profile)
-    return checker.accepts(profile)
+    return _ProfileChecker(instance)._general_accepts(tuple(frozenset(b) for b in profile))
 
 
 # ---------------------------------------------------------------------------
@@ -669,16 +654,18 @@ def _score_partitions(candidates, k):
 def _reassignment_program(instance, swin, pwin):
     """Variables count manipulators moving from each truthful ballot to each
     new ballot; constraints pin the guessed winning collection exactly."""
-    rule = instance.rule
-    m = len(instance.candidates)
     election = instance.full_election
-    base = core.additive_scores(rule, instance.base_election)
     truthful = {}
     for v in instance.manipulative_votes:
         truthful[v] = truthful.get(v, 0) + 1
     # recast ballots stay inside the truthfully approved pool; feasible
     # solutions outside it can always be normalized into it
     targets = _sorted_ballots(election, instance.approved_union)
+    # one scale covers every ballot; the NSAV penalty the weights leave out
+    # cancels, because every row compares two k-committees
+    sizes = [len(v) for v in instance.honest_votes + tuple(targets)]
+    _, weight = core.size_weights(instance.rule, len(instance.candidates), sizes)
+    base = core.integer_scores(instance.base_election, weight)
     program = ipcore.IntegerProgram()
     names = {}
     for s_i, (src, count) in enumerate(sorted(truthful.items(), key=lambda kv: sorted(kv[0]))):
@@ -691,15 +678,12 @@ def _reassignment_program(instance, swin, pwin):
 
     def committee_expr(committee):
         members = frozenset(committee)
-        const = sum((base[c] for c in members), Fraction(0))
         coeffs = {}
         for (src, dst), name in names.items():
-            contribution = sum(
-                (core.per_vote_score(rule, dst, c, m) for c in members), Fraction(0)
-            )
-            if contribution:
-                coeffs[name] = coeffs.get(name, Fraction(0)) + contribution
-        return const, coeffs
+            overlap = len(dst & members)
+            if overlap:
+                coeffs[name] = weight[len(dst)] * overlap
+        return sum(base[c] for c in members), coeffs
 
     pool = frozenset(swin) | frozenset(pwin)
     family = [frozenset(swin) | frozenset(extra) for extra in combinations(sorted(pwin), instance.k - len(swin))]
@@ -721,13 +705,13 @@ def _reassignment_program(instance, swin, pwin):
         o_const, o_coeffs = expr(other)
         coeffs = dict(a_coeffs)
         for name, c in o_coeffs.items():
-            coeffs[name] = coeffs.get(name, Fraction(0)) - c
+            coeffs[name] = coeffs.get(name, 0) - c
         program.add_constraint(list(coeffs.items()), "=", o_const - a_const)
     for other in outside:
         o_const, o_coeffs = expr(other)
         coeffs = dict(a_coeffs)
         for name, c in o_coeffs.items():
-            coeffs[name] = coeffs.get(name, Fraction(0)) - c
+            coeffs[name] = coeffs.get(name, 0) - c
         program.add_constraint(list(coeffs.items()), ">", o_const - a_const)
     return program, names, targets
 
@@ -903,8 +887,8 @@ def solve_savnsav_const_manipulators(
     m = len(instance.candidates)
     # one scale for every guess: final ballots stay inside the truthful pool
     sizes = [len(v) for v in instance.honest_votes]
-    weight = core.size_weights(rule, m, sizes + list(range(1, len(instance.approved_union) + 1)))
-    base = _integer_scores(instance.base_election, weight)
+    _, weight = core.size_weights(rule, m, sizes + list(range(1, len(instance.approved_union) + 1)))
+    base = core.integer_scores(instance.base_election, weight)
     groups = _manipulator_classes(instance)
     group_keys = sorted(groups, key=sorted)
     group_members = [groups[key] for key in group_keys]

@@ -138,16 +138,6 @@ def load_source(obj: dict):
     raise ValidationError("a source is a graph ('vertices'/'edges') or an RX3C system ('universe'/'sets')")
 
 
-def source_to_obj(source) -> dict:
-    if isinstance(source, red.Rx3cInstance):
-        return {"universe": list(source.universe), "sets": [list(s) for s in source.sets]}
-    return {
-        "vertices": list(source.vertices),
-        "edges": [sorted(e) for e in sorted(source.edges, key=sorted)],
-        "kappa": source.kappa,
-    }
-
-
 def witness_to_obj(witness) -> object:
     if witness is None:
         return None

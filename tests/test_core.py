@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abmv import core
@@ -35,6 +35,29 @@ def elections(draw, m_max=6, n_max=6):
     cands = [f"c{i}" for i in range(m)]
     votes = draw(st.lists(st.sets(st.sampled_from(cands)), min_size=0, max_size=n_max))
     return Election(cands, votes)
+
+
+def reference_vote_score(rule, ballot, candidate, m):
+    """The per-vote definition: AV adds 1 to members and SAV adds 1/|v|;
+    NSAV adds 1/|v| too and charges -1/(m-|v|) to every non-member."""
+    if candidate in ballot:
+        return Fraction(1) if rule == AV else Fraction(1, len(ballot))
+    if rule == NSAV and len(ballot) != m:
+        return -Fraction(1, m - len(ballot))
+    return Fraction(0)
+
+
+def reference_score(rule, e, candidate):
+    return sum((reference_vote_score(rule, v, candidate, e.m) for v in e.votes), Fraction(0))
+
+
+@st.composite
+def additive_elections(draw, m_max=6, n_max=6):
+    """Elections with zero votes, empty ballots and whole-roster ballots drawn often."""
+    m = draw(st.integers(1, m_max))
+    cands = [f"c{i}" for i in range(m)]
+    ballot = st.one_of(st.just(set()), st.just(set(cands)), st.sets(st.sampled_from(cands)))
+    return Election(cands, draw(st.lists(ballot, min_size=0, max_size=n_max)))
 
 
 class TestAdditiveScores:
@@ -72,21 +95,31 @@ class TestAdditiveScores:
         assert core.additive_candidate_score(NSAV, e, "a") == Fraction(1, 2)
 
     @settings(max_examples=150, deadline=None)
-    @given(elections(m_max=7, n_max=6), st.sampled_from([AV, SAV, NSAV]))
+    @given(additive_elections(), st.sampled_from([AV, SAV, NSAV]))
     def test_size_weights_are_a_positive_affine_image(self, e, rule):
-        weight = core.size_weights(rule, e.m, [len(v) for v in e.votes])
-        assert all(isinstance(w, int) for w in weight.values())
+        sizes = [len(v) for v in e.votes]
+        scale, weight = core.size_weights(rule, e.m, sizes)
+        assert all(isinstance(w, int) for w in [scale, *weight.values()])
         ints = {c: sum(weight[len(e.votes[i])] for i in e.approver_sets[c]) for c in e.candidates}
-        exact = core.additive_scores(rule, e)
-        low = min(e.candidates, key=exact.get)
-        high = max(e.candidates, key=exact.get)
-        if exact[low] == exact[high]:
-            assert len(set(ints.values())) == 1
-            return
-        # one positive factor and one offset carry every exact score to its integer
-        factor = (ints[high] - ints[low]) / (exact[high] - exact[low])
-        assert factor > 0
-        assert all(ints[c] - ints[low] == factor * (exact[c] - exact[low]) for c in e.candidates)
+        assert ints == core.integer_scores(e, weight)
+        exact = {c: reference_score(rule, e, c) for c in e.candidates}
+        # each integer is the exact score times the scale plus a shared penalty
+        penalty = core.nsav_penalty(rule, e.m, scale, sizes)
+        assert all(Fraction(ints[c] - penalty, scale) == exact[c] for c in e.candidates)
+
+    @settings(max_examples=200, deadline=None)
+    @given(additive_elections(), st.sampled_from([AV, SAV, NSAV]))
+    @example(Election(["c0", "c1", "c2"], []), NSAV)
+    @example(Election(["c0", "c1"], [set(), {"c0", "c1"}, {"c1"}]), NSAV)
+    def test_scores_follow_the_per_vote_definition(self, e, rule):
+        exact = {c: reference_score(rule, e, c) for c in e.candidates}
+        assert core.additive_scores(rule, e) == exact
+        for c in e.candidates:
+            assert core.additive_candidate_score(rule, e, c) == exact[c]
+        for size in range(e.m + 1):
+            for committee in combinations(e.candidates, size):
+                expected = sum((exact[c] for c in committee), Fraction(0))
+                assert core.committee_score(rule, e, committee) == expected
 
 
 class TestCommitteeScore:

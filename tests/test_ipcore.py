@@ -1,10 +1,12 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from abmv import ipcore
+from abmv import control as ctl, ipcore, manipulation as man, verification as ver
+from abmv.core import AV, NSAV, SAV
 from abmv.ipcore import IntegerProgram, check_solution, solve_ip
 
 
@@ -100,3 +102,38 @@ def test_lp_export_mentions_everything():
     p = simple_program([([("x", 1), ("y", -2)], ">", 3)], [("x", 0, 5), ("y", -1, 1)])
     text = p.to_lp_text()
     assert "x" in text and "y" in text and "Bounds" in text and "General" in text
+
+
+# draws past the first 1,200 that are YES for the two manipulation solvers
+IP_PIN_YES_DRAWS = (
+    646, 912, 937, 949, 1189, 1225, 1249, 1974, 2224, 2467,
+    3049, 3208, 3300, 4072, 4759, 4930, 5047, 5644, 5850, 5896,
+)
+IP_PIN_SHA256 = "b66e779d4fc5fa26aeb74eb7d5aca45dad900e486c2f4ca0f9a43098dd472aa5"
+
+
+def test_ip_solver_witness_pin():
+    """Verdicts and witnesses of the additive IP-based solvers are those
+    recorded while they built their programs from `Fraction` scores."""
+    digest = hashlib.sha256()
+    for i in [*range(1200), *IP_PIN_YES_DRAWS]:
+        rng = random.Random(f"ip-pin:{i}")
+        rule = rng.choice([AV, SAV, NSAV])
+        if i % 3 == 0:
+            variant = rng.choice(["CBCM", "SBCM"])
+            inst = ver.random_manipulation_instance(rng, rule, variant, 4, 4, 2)
+            verdict = man.solve_manipulation_fpt_m_additive(inst)
+        elif i % 3 == 1:
+            inst = ver.random_manipulation_instance(rng, rule, "SDCM", 4, 4, 2)
+            verdict = man.solve_sdcm_fpt_m(inst)
+        else:
+            ctype = rng.choice(["CCAV", "CCDV", "CCADV"])
+            inst = ver.random_control_instance(rng, rule, ctype, m_max=5, n_max=5, u_max=4)
+            verdict = ctl.solve_ccadv_additive_fpt(inst)
+        witness = verdict.witness
+        if isinstance(witness, ctl.ControlSolution):
+            witness = (witness.added_votes, witness.deleted_votes)
+        elif witness is not None:
+            witness = tuple(tuple(sorted(b)) for b in witness)
+        digest.update(repr((i, verdict.yes, witness)).encode())
+    assert digest.hexdigest() == IP_PIN_SHA256

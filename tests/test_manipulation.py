@@ -163,6 +163,15 @@ class TestSavNsavConstManipulators:
         verdict = solve_savnsav_const_manipulators(inst)
         assert verdict.yes and certify_manipulation(inst, verdict.witness)
 
+    def test_nsav_instance_needs_the_nsav_weights(self):
+        # searched with SAV weights, this NSAV instance reads as NO
+        cands = [f"c{i}" for i in range(5)]
+        honest = [set(), set(cands), {"c1"}, {"c0"}]
+        manip = [{"c3", "c4"}, {"c2", "c3"}]
+        inst = ManipulationInstance(NSAV, "CBCM", cands, honest, manip, 3, {"c0", "c1", "c3"})
+        verdict = solve_savnsav_const_manipulators(inst)
+        assert verdict.yes and certify_manipulation(inst, verdict.witness)
+
     def test_agrees_with_bruteforce(self):
         rng = random.Random(43)
         for _ in range(60):
@@ -395,6 +404,22 @@ def test_padded_sdcm_certifies_without_the_partition(monkeypatch):
         raise AssertionError("certification decided SDCM through the threshold partition")
 
     monkeypatch.setattr(man, "_sd_accepts_partition", refuse)
+    assert certify_manipulation(inst, verdict.witness)
+    assert not certify_manipulation(inst, inst.manipulative_votes)
+
+
+def test_padded_cbcm_certifies_without_the_partition(monkeypatch):
+    # the CBCM/SBCM counterpart: C(503, 2) > 100,000 committees again
+    cands = core.pad_with_dummies(Election(["c0", "c1", "c2"], []), 500).candidates
+    honest = [{"c0"}, set(), {"c0", "c2"}]
+    inst = ManipulationInstance(SAV, "CBCM", cands, honest, [{"c0", "c1"}], 2, {"c0", "c2"})
+    verdict = solve_manipulation_bruteforce(inst)
+    assert verdict.yes and verdict.witness == (frozenset({"c1"}),)
+
+    def refuse(*args):
+        raise AssertionError("certification decided CBCM through the threshold partition")
+
+    monkeypatch.setattr(man, "_partition_sets", refuse)
     assert certify_manipulation(inst, verdict.witness)
     assert not certify_manipulation(inst, inst.manipulative_votes)
 
