@@ -97,14 +97,14 @@ class ControlInstance:
         if self.ctype in needs_add:
             if self.budget_add is None or self.budget_add < 0:
                 raise ValidationError(f"{self.ctype} needs a nonnegative addition budget")
-            pool_size = len(self.unregistered_votes if needs_add[self.ctype] == "votes" else D)
-            if self.budget_add > pool_size:
+            available = len(self.unregistered_votes if needs_add[self.ctype] == "votes" else D)
+            if self.budget_add > available:
                 raise ValidationError("addition budget exceeds its pool")
         if self.ctype in needs_delete:
             if self.budget_delete is None or self.budget_delete < 0:
                 raise ValidationError(f"{self.ctype} needs a nonnegative deletion budget")
-            pool_size = len(self.registered_votes) if self.ctype in _VOTER_TYPES else len(C)
-            if self.budget_delete > pool_size:
+            available = len(self.registered_votes) if self.ctype in _VOTER_TYPES else len(C)
+            if self.budget_delete > available:
                 raise ValidationError("deletion budget exceeds its pool")
 
     @property

@@ -5,10 +5,12 @@ are therefore decided by cross-multiplied integer arithmetic and ties
 are exact. AV, SAV and NSAV scores are summed in integers from the
 per-size ballot weights of `size_weights` and become `Fraction`s only
 when returned. The additive rules expose the k-winning-threshold
-machinery (`k_winning_threshold`, `partition_candidates`) that the
-strategic solvers build on: a k-committee wins under an additive rule
-iff it contains every sure winner and nothing outside the sure/possible
-winner pool.
+machinery (`class_threshold`, `partition_candidates`,
+`admitted_committees`) that the strategic solvers build on: a
+k-committee wins under an additive rule iff it holds every candidate
+above the threshold and fills its other seats from the candidates at
+it. Those are in every winning committee too when exactly k candidates
+reach the threshold, and otherwise only in some.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 ZERO = Fraction(0)
@@ -284,18 +287,20 @@ def nsav_penalty(rule: Rule, m: int, scale: int, sizes: Iterable[int]) -> int:
     return sum(scale // (m - s) for s in sizes if s != m)
 
 
-def _integer_class_scores(election: Election, weight: dict) -> list:
-    """(sum of `weight` over the approving votes, members) per approval class."""
+def _integer_class_scores(election: Election, weight: dict) -> dict:
+    """Approver set -> (sum of `weight` over those votes, members) per approval class."""
     votes = election.votes
-    return [
-        (sum(weight[len(votes[i])] for i in approvers), members)
+    return {
+        approvers: (sum(weight[len(votes[i])] for i in approvers), members)
         for approvers, members in election.approval_classes.items()
-    ]
+    }
 
 
 def integer_scores(election: Election, weight: dict) -> dict:
     """Candidate -> sum of `size_weights` weights over its approving votes."""
-    return {c: score for score, members in _integer_class_scores(election, weight) for c in members}
+    return {
+        c: score for score, members in _integer_class_scores(election, weight).values() for c in members
+    }
 
 
 def additive_candidate_score(rule: Rule, election: Election, candidate: str) -> Fraction:
@@ -305,26 +310,27 @@ def additive_candidate_score(rule: Rule, election: Election, candidate: str) -> 
     return committee_score(rule, election, (candidate,))
 
 
-def additive_class_scores(rule: Rule, election: Election) -> list:
-    """Per approval-class scores: a list of (score, members) pairs.
+def additive_class_scores(rule: Rule, election: Election) -> dict:
+    """Approver set -> (score, members) for each approval class.
 
     Clones share a score, so scoring by class keeps elections with huge
-    padded rosters cheap; members are roster-ordered tuples.
+    padded rosters cheap; keys are those of `Election.approval_classes`
+    and members are roster-ordered tuples.
     """
     if not rule.is_additive:
         raise UnsupportedRuleError(f"{rule.kind} is not additive")
     sizes = [len(v) for v in election.votes]
     scale, weight = size_weights(rule, election.m, sizes)
     penalty = nsav_penalty(rule, election.m, scale, sizes)
-    return [
-        (Fraction(total - penalty, scale), members)
-        for total, members in _integer_class_scores(election, weight)
-    ]
+    return {
+        approvers: (Fraction(total - penalty, scale), members)
+        for approvers, (total, members) in _integer_class_scores(election, weight).items()
+    }
 
 
 def additive_scores(rule: Rule, election: Election) -> dict:
     scores = {}
-    for score, members in additive_class_scores(rule, election):
+    for score, members in additive_class_scores(rule, election).values():
         for c in members:
             scores[c] = score
     return scores
@@ -359,7 +365,8 @@ class ThresholdPartition:
     """Sure winners / possible winners / sure losers at committee size k.
 
     swin are the candidates in every winning k-committee, slose those in
-    none, pwin the rest; a k-committee wins iff swin ⊆ w ⊆ swin ∪ pwin.
+    none, pwin the rest; a k-committee wins iff swin ⊆ w ⊆ swin ∪ pwin,
+    so pwin is empty iff exactly one committee wins.
     """
 
     threshold: Fraction
@@ -373,61 +380,66 @@ class ThresholdPartition:
 
 
 def class_threshold(weighted: Iterable, k: int) -> tuple:
-    """(threshold, at_threshold, pool_size) of (score, count) pairs.
+    """(threshold, ties_sure) of (score, count) pairs.
 
-    The threshold is the k-th largest score counted with multiplicity,
-    at_threshold how many candidates attain it, and pool_size how many
-    score at least it. Scores may be Fractions or integers scaled by a
-    common denominator; only their order matters.
+    The threshold is the k-th largest score counted with multiplicity.
+    ties_sure says the candidates at the threshold are in every winning
+    k-committee: exactly k candidates score at least it, which includes
+    a threshold attained once. Otherwise every winning committee takes
+    some, not all, of them. Scores may be Fractions or integers scaled
+    by a common denominator; only their order matters.
     """
     totals: dict = {}
     for score, count in weighted:
         totals[score] = totals.get(score, 0) + count
-    pool_size = 0
+    reached = 0
     for score in sorted(totals, reverse=True):
-        pool_size += totals[score]
-        if pool_size >= k:
-            return score, totals[score], pool_size
-    raise DomainError(f"k={k} out of range for {pool_size} candidates")
+        reached += totals[score]
+        if reached >= k:
+            return score, reached == k
+    raise DomainError(f"k={k} out of range for {reached} candidates")
 
 
 def jcc_from_scores(weighted: Iterable, k: int, wanted_scores: Iterable) -> bool:
     """Are candidates scoring `wanted_scores` in every winning k-committee?
 
-    `weighted` holds (score, count) pairs for the whole roster. A score
-    above the threshold is always elected; a threshold score only when
-    the committee is forced (unique attainment or a pool of exactly k).
+    `weighted` holds (score, count) pairs for the whole roster.
     """
-    threshold, at_threshold, pool_size = class_threshold(weighted, k)
-    forced = at_threshold == 1 or pool_size == k
-    return all(s > threshold or (s == threshold and forced) for s in wanted_scores)
+    threshold, ties_sure = class_threshold(weighted, k)
+    return all(s > threshold or (s == threshold and ties_sure) for s in wanted_scores)
 
 
 def k_winning_threshold(rule: Rule, election: Election, k: int) -> Fraction:
     """The k-th largest candidate score, ties counted with multiplicity."""
-    if not 1 <= k <= election.m:
-        raise DomainError(f"k={k} out of range for {election.m} candidates")
-    weighted = ((score, len(members)) for score, members in additive_class_scores(rule, election))
-    return class_threshold(weighted, k)[0]
+    return partition_candidates(rule, election, k).threshold
 
 
 def partition_candidates(rule: Rule, election: Election, k: int) -> ThresholdPartition:
     if not 1 <= k <= election.m:
         raise DomainError(f"k={k} out of range for {election.m} candidates")
-    class_scores = additive_class_scores(rule, election)
-    threshold, at_threshold, _ = class_threshold(
+    class_scores = additive_class_scores(rule, election).values()
+    threshold, ties_sure = class_threshold(
         ((score, len(members)) for score, members in class_scores), k
     )
     swin, pwin, slose = [], [], []
     for score, members in class_scores:
-        if score > threshold:
+        if score > threshold or (score == threshold and ties_sure):
             swin.extend(members)
         elif score == threshold:
-            # a uniquely attained threshold leaves no room for ties
-            (swin if at_threshold == 1 else pwin).extend(members)
+            pwin.extend(members)
         else:
             slose.extend(members)
     return ThresholdPartition(threshold, frozenset(swin), frozenset(pwin), frozenset(slose))
+
+
+def admitted_committees(swin: Iterable[str], pwin: Iterable[str], k: int) -> list:
+    """The k-committees a (swin, pwin) split admits: swin plus k - |swin| of pwin.
+
+    Listed in `combinations` order over the sorted pwin, so the first
+    takes the smallest members.
+    """
+    sure = frozenset(swin)
+    return [sure | frozenset(extra) for extra in combinations(sorted(pwin), k - len(sure))]
 
 
 def additive_jcc(rule: Rule, election: Election, k: int, distinguished: Iterable[str]) -> bool:
@@ -438,13 +450,9 @@ def additive_jcc(rule: Rule, election: Election, k: int, distinguished: Iterable
     wanted = frozenset(distinguished)
     for c in wanted:
         election.index(c)
-    keys = {election.approver_sets[c] for c in wanted}
     class_scores = additive_class_scores(rule, election)
-    # additive_class_scores follows the order of election.approval_classes
-    wanted_scores = [
-        score for key, (score, _) in zip(election.approval_classes, class_scores) if key in keys
-    ]
-    weighted = [(score, len(members)) for score, members in class_scores]
+    wanted_scores = [class_scores[key][0] for key in {election.approver_sets[c] for c in wanted}]
+    weighted = [(score, len(members)) for score, members in class_scores.values()]
     return jcc_from_scores(weighted, k, wanted_scores)
 
 

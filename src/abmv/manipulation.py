@@ -174,14 +174,14 @@ def sd_dominates(coll_a, coll_b, subject: Iterable[str]) -> SdVerdict:
 
 def _partition_sets(scores: dict, k: int):
     """(swin, pwin) from a candidate->score map."""
-    threshold, at_threshold, _ = core.class_threshold(zip(scores.values(), repeat(1)), k)
+    threshold, ties_sure = core.class_threshold(zip(scores.values(), repeat(1)), k)
     above, tied = [], []
     for c, s in scores.items():
         if s > threshold:
             above.append(c)
         elif s == threshold:
             tied.append(c)
-    if at_threshold == 1:
+    if ties_sure:
         return frozenset(above + tied), frozenset()
     return frozenset(above), frozenset(tied)
 
@@ -686,7 +686,7 @@ def _reassignment_program(instance, swin, pwin):
         return sum(base[c] for c in members), coeffs
 
     pool = frozenset(swin) | frozenset(pwin)
-    family = [frozenset(swin) | frozenset(extra) for extra in combinations(sorted(pwin), instance.k - len(swin))]
+    family = core.admitted_committees(swin, pwin, instance.k)
     outside = [
         frozenset(c)
         for c in combinations(sorted(instance.candidates, key=election.index), instance.k)
@@ -778,10 +778,7 @@ def solve_sdcm_fpt_m(instance: ManipulationInstance, cap: Optional[int] = None) 
         raise ResourceCapError(f"m={m} exceeds the collection-enumeration bound")
     old = winners.winning_committees(instance.rule, instance.full_election, instance.k)
     for swin, pwin in _score_partitions(instance.candidates, instance.k):
-        family = [
-            tuple(sorted(frozenset(swin) | frozenset(extra)))
-            for extra in combinations(sorted(pwin), instance.k - len(swin))
-        ]
+        family = [tuple(sorted(w)) for w in core.admitted_committees(swin, pwin, instance.k)]
         if not all(
             sd_dominates(family, old.committees, v).dominates
             for v in instance.manipulative_votes

@@ -121,15 +121,11 @@ def winning_committees(
 
 def _winning_by_partition(rule, election, k, cap):
     part = core.partition_candidates(rule, election, k)
-    scores = core.additive_scores(rule, election)
-    need = k - len(part.swin)
     limit = effective_cap(cap if cap is not None else COMMITTEE_ENUMERATION_CAP)
-    if math.comb(len(part.pwin), need) > limit:
+    if math.comb(len(part.pwin), k - len(part.swin)) > limit:
         raise ResourceCapError("possible-winner pool too large to enumerate")
-    base = sum((scores[c] for c in part.swin), Fraction(0))
-    optimum = base + need * part.threshold
-    swin = tuple(part.swin)
-    committees = [swin + extra for extra in combinations(tuple(part.pwin), need)]
+    committees = core.admitted_committees(part.swin, part.pwin, k)
+    optimum = committee_score(rule, election, committees[0])
     return WinningSet(_sorted_committees(election, committees), optimum)
 
 
@@ -198,10 +194,8 @@ def optimal_count_vectors(rule: Rule, election: Election, k: int, classes, cap: 
     vote_sizes = [len(v) for v in election.votes]
     class_scores = None
     if rule.is_additive:
-        # additive_class_scores follows the order of election.approval_classes
         scored = core.additive_class_scores(rule, election)
-        by_key = {key: score for key, (score, _) in zip(election.approval_classes, scored)}
-        class_scores = [by_key[key] for key in approvers]
+        class_scores = [scored[key][0] for key in approvers]
 
     def score(counts):
         if not vote_sizes:

@@ -62,6 +62,19 @@ def test_winners_lists_the_three_committees(example_files):
     assert proc.stdout.splitlines() == ["x y", "x z", "y z"]
 
 
+@pytest.mark.parametrize("rule", ["av", "sav", "nsav"])
+def test_partition_winners_print_the_exhaustive_bytes(example_files, rule):
+    # x, y and z tie for the two seats under every additive rule
+    outputs = [
+        run_cli(["winners", "--rule", rule, "-k", "2", "--algo", algo, "--json", "example1.json"],
+                example_files)
+        for algo in ("partition", "exhaustive")
+    ]
+    assert outputs[0].returncode == 0
+    assert len(json.loads(outputs[0].stdout)["committees"]) == 3
+    assert outputs[0].stdout == outputs[1].stdout
+
+
 def test_jcc_example2_exit_zero(example_files):
     proc = run_cli(["jcc", "--rule", "mav", "-k", "1", "--J", "a", "example2_CD.json"], example_files)
     assert proc.returncode == 0 and proc.stdout.strip() == "YES"

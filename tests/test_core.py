@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from abmv import core
+from abmv import core, winners
 from abmv.core import (
     ABCCV,
     AV,
@@ -206,9 +206,17 @@ class TestThresholdAndPartition:
             assert family == arg
             # partition invariants
             assert part.swin | part.pwin | part.slose == set(e.candidates)
-            at = [c for c in e.candidates if scores[c] == part.threshold]
-            assert (part.pwin == frozenset()) == (len(at) == 1)
+            assert part.swin == frozenset.intersection(*arg)
+            assert part.pool == frozenset.union(*arg)
             assert len(part.swin) <= k <= len(part.swin) + len(part.pwin)
+
+    def test_threshold_reached_by_exactly_k_is_sure(self):
+        # b and c tie at the threshold, but a, b and c fill k=3 seats exactly
+        e = Election(["a", "b", "c", "d"], [{"a"}] * 3 + [{"b"}] * 2 + [{"c"}] * 2)
+        part = core.partition_candidates(AV, e, 3)
+        assert part.swin == {"a", "b", "c"}
+        assert part.pwin == frozenset()
+        assert winners.j_cc(AV, winners.JccInstance(e, 3, {"b"}))
 
     def test_tie_break_never_moves_threshold(self):
         # permuting the roster permutes only labels, never the partition

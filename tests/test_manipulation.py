@@ -217,6 +217,15 @@ class TestFptCandidates:
             inst = random_instance(rng, rule, "SDCM", m_max=4, n_max=4, t_max=2)
             assert solve_sdcm_fpt_m(inst).yes == solve_manipulation_bruteforce(inst).yes
 
+    def test_sdcm_witness_comes_from_a_guess_filling_the_committee(self):
+        # the witness comes from the first guess, (∅, {c0, c3}): two tied candidates for k=2 seats
+        cands = [f"c{i}" for i in range(5)]
+        honest = [set(cands), {"c0", "c1", "c2", "c4"}, set(), set()]
+        manip = [{"c0", "c2", "c3"}, {"c1", "c3"}]
+        inst = ManipulationInstance(NSAV, "SDCM", cands, honest, manip, 2, None)
+        verdict = solve_sdcm_fpt_m(inst)
+        assert verdict.yes and verdict.witness == ({"c0", "c3"}, {"c0", "c3"})
+
 
 class TestClaimProperties:
     def test_common_ballot_inside_pool_suffices_for_av(self):

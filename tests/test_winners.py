@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abmv import core, winners
 from abmv.core import ABCCV, AV, MAV, NSAV, PAV, SAV, Election, ResourceCapError, UnsupportedRuleError
@@ -13,6 +15,26 @@ def random_election(rng, m_max=6, n_max=5, m_min=1, n_min=0):
     cands = [f"c{i}" for i in range(m)]
     votes = [frozenset(rng.sample(cands, rng.randint(0, m))) for _ in range(rng.randint(n_min, n_max))]
     return Election(cands, votes)
+
+
+@st.composite
+def tied_additive_jcc(draw):
+    """A few repeated ballots over up to 6 candidates, so scores tie often.
+
+    k is often one of the counts of candidates scoring at least some
+    score, which puts exactly k candidates at or above the threshold.
+    """
+    m = draw(st.integers(2, 6))
+    cands = [f"c{i}" for i in range(m)]
+    kinds = draw(st.lists(st.frozensets(st.sampled_from(cands)), min_size=1, max_size=3))
+    votes = [ballot for ballot in kinds for _ in range(draw(st.integers(1, 3)))]
+    e = Election(cands, votes)
+    rule = draw(st.sampled_from([AV, SAV, NSAV]))
+    scores = core.additive_scores(rule, e).values()
+    cuts = sorted({sum(t >= s for t in scores) for s in scores})
+    k = draw(st.sampled_from(cuts) | st.integers(1, m))
+    wanted = draw(st.frozensets(st.sampled_from(cands), min_size=1, max_size=k))
+    return rule, JccInstance(e, k, wanted)
 
 
 class TestWinningCommittees:
@@ -30,6 +52,19 @@ class TestWinningCommittees:
         e = Election(["a", "b", "c", "d"], [{"a"}, {"a"}] + [{"b", "d"}] * 3 + [{"c", "d"}] * 3)
         ws = winning_committees(PAV, core.restrict(e, {"a", "b", "c"}), 2)
         assert ws.committees == (("b", "c"),)
+
+    def test_partition_strategy_scores_classes_once(self, example1_full, monkeypatch):
+        calls = []
+        scorer = core.additive_class_scores
+
+        def counted(*args):
+            calls.append(args)
+            return scorer(*args)
+
+        monkeypatch.setattr(core, "additive_class_scores", counted)
+        ws = winning_committees(SAV, example1_full, 3, strategy="partition")
+        assert len(calls) == 1
+        assert ws == winning_committees(SAV, example1_full, 3, strategy="exhaustive")
 
     def test_partition_strategy_needs_additive(self, example1_full):
         with pytest.raises(UnsupportedRuleError):
@@ -127,6 +162,15 @@ class TestJcc:
         e = Election(["a", "b"], [{"a"}])
         with pytest.raises(UnsupportedRuleError):
             j_cc(SAV, JccInstance(e, 1, {"a"}), algo="fptn")
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_additive_jcc())
+    def test_additive_path_agrees_with_bruteforce(self, case):
+        rule, inst = case
+        expected = j_cc(rule, inst, "bruteforce")
+        assert j_cc(rule, inst) == expected
+        part = core.partition_candidates(rule, inst.election, inst.k)
+        assert (inst.distinguished <= part.swin) == expected
 
     def test_fptn_agrees_with_bruteforce(self):
         rng = random.Random(17)
