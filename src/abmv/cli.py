@@ -111,9 +111,7 @@ _MANIP_ALGOS = {
 def _auto_manip(instance, args):
     rule = instance.rule
     if instance.variant in ("CBCM", "SBCM"):
-        if rule.kind == "AV" and instance.t <= 3:
-            return "const-manipulators"
-        if rule.kind in ("SAV", "NSAV") and instance.t <= 3:
+        if rule.is_additive and instance.t <= 3:
             return "const-manipulators"
         if rule.is_additive and len(instance.candidates) <= 8:
             return "additive-fpt-candidates"

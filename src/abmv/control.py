@@ -357,7 +357,6 @@ class _AdditiveControlOracle:
 
 def solve_control_bruteforce(
     instance: ControlInstance,
-    jcc_algo: str = "auto",
     cap: Optional[int] = None,
     deletion_pool=None,
 ) -> Verdict:
@@ -368,7 +367,7 @@ def solve_control_bruteforce(
     """
     limit = effective_cap(cap if cap is not None else SUBSET_CAP)
     oracle = None
-    if instance.ctype != "JCC" and instance.rule.is_additive and jcc_algo == "auto":
+    if instance.ctype != "JCC" and instance.rule.is_additive:
         oracle = _AdditiveControlOracle(instance)
     tried = 0
     for solution in _solution_stream(instance, deletion_pool):
@@ -378,7 +377,7 @@ def solve_control_bruteforce(
         if oracle is not None and not oracle.jcc_after(solution):
             continue
         # an oracle YES is re-verified on the rebuilt election
-        if control_succeeds(instance, solution, jcc_algo):
+        if control_succeeds(instance, solution):
             return Verdict(True, solution)
     return Verdict(False)
 
@@ -462,6 +461,48 @@ def _ballot_groups(votes: Sequence[frozenset]):
     return sorted(groups.items(), key=lambda kv: sorted(kv[0]))
 
 
+def _vote_count_search(instance: ControlInstance, guesses, cap) -> Verdict:
+    """First certified solution of the voter-control programs, one per guess.
+
+    The variables count, per distinct ballot, the deleted registered copies
+    (`d<g>`) and the added unregistered copies (`a<g>`) within the budgets.
+    `guesses(change)` yields one list of `(left, relation, right)`
+    comparisons per guess, where `change(value)` maps each variable to the
+    change its copies make to a sum of per-ballot `value(ballot)`.
+    """
+    deletable, addable = (
+        [(f"{prefix}{g}", ballot, ids) for g, (ballot, ids) in enumerate(_ballot_groups(votes))]
+        for prefix, votes in (("d", instance.registered_votes), ("a", instance.unregistered_votes))
+    )
+
+    def change(value):
+        coeffs = {name: -v for name, ballot, _ in deletable if (v := value(ballot))}
+        coeffs.update((name, v) for name, ballot, _ in addable if (v := value(ballot)))
+        return coeffs
+
+    def chosen(groups, counts):
+        return tuple(sorted(i for name, _, ids in groups for i in ids[: counts[name]]))
+
+    for comparisons in guesses(change):
+        program = ipcore.IntegerProgram()
+        for name, _, ids in deletable + addable:
+            program.add_variable(name, 0, len(ids))
+        for groups, budget in ((deletable, instance.budget_delete), (addable, instance.budget_add)):
+            if groups:
+                program.add_constraint([(name, 1) for name, _, _ in groups], "<=", budget or 0)
+        for left, relation, right in comparisons:
+            program.add_comparison(left, relation, right)
+        result = ipcore.solve_ip(program, cap)
+        if result.feasible:
+            solution = ControlSolution(
+                added_votes=chosen(addable, result.assignment),
+                deleted_votes=chosen(deletable, result.assignment),
+            )
+            if control_succeeds(instance, solution):
+                return Verdict(True, solution)
+    return Verdict(False)
+
+
 def solve_ccadv_additive_fpt(instance: ControlInstance, cap: Optional[int] = None) -> Verdict:
     """CCAV/CCDV/CCADV for additive rules: guess the weakest distinguished
     candidate and which rivals must end strictly below it, then solve the
@@ -470,73 +511,29 @@ def solve_ccadv_additive_fpt(instance: ControlInstance, cap: Optional[int] = Non
         raise UnsupportedRuleError("additive rules only")
     if instance.ctype not in _VOTER_TYPES:
         raise UnsupportedRuleError("this solver handles voter control")
-    rule = instance.rule
     election = instance.base_election
-    m, k = election.m, instance.k
-    la = instance.budget_add or 0
-    ld = instance.budget_delete or 0
+    k = instance.k
     wanted = sorted(instance.distinguished, key=election.index)
     others = [c for c in election.candidates if c not in instance.distinguished]
     # one scale covers every ballot; the NSAV penalty the weights leave out
     # cancels, because every row compares two candidates
     sizes = [len(v) for v in instance.registered_votes + instance.unregistered_votes]
-    _, weight = core.size_weights(rule, m, sizes)
+    _, weight = core.size_weights(instance.rule, election.m, sizes)
     base = core.integer_scores(election, weight)
-    v_groups = _ballot_groups(instance.registered_votes)
-    u_groups = _ballot_groups(instance.unregistered_votes)
-    for weakest in wanted:
-        for keep_size in range(0, k - len(wanted) + 1):
-            for keep in combinations(others, keep_size):
-                below = [c for c in others if c not in keep]
-                program = ipcore.IntegerProgram()
-                dels, adds = [], []
-                for g, (ballot, ids) in enumerate(v_groups):
-                    dels.append((ballot, program.add_variable(f"d{g}", 0, len(ids))))
-                for g, (ballot, ids) in enumerate(u_groups):
-                    adds.append((ballot, program.add_variable(f"a{g}", 0, len(ids))))
-                if dels:
-                    program.add_constraint([(name, 1) for _, name in dels], "<=", ld)
-                if adds:
-                    program.add_constraint([(name, 1) for _, name in adds], "<=", la)
 
-                def score_delta(c):
-                    coeffs = {name: -weight[len(b)] for b, name in dels if c in b}
-                    coeffs.update((name, weight[len(b)]) for b, name in adds if c in b)
-                    return coeffs
+    def guesses(change):
+        score = {
+            c: (base[c], change(lambda ballot: weight[len(ballot)] if c in ballot else 0))
+            for c in election.candidates
+        }
+        for weakest in wanted:
+            for keep_size in range(0, k - len(wanted) + 1):
+                for keep in combinations(others, keep_size):
+                    yield [(score[c], ">=", score[weakest]) for c in wanted if c != weakest] + [
+                        (score[c], "<", score[weakest]) for c in others if c not in keep
+                    ]
 
-                anchor = score_delta(weakest)
-                for c in wanted:
-                    if c == weakest:
-                        continue
-                    coeffs = score_delta(c)
-                    for name, val in anchor.items():
-                        coeffs[name] = coeffs.get(name, 0) - val
-                    program.add_constraint(list(coeffs.items()), ">=", base[weakest] - base[c])
-                for c in below:
-                    coeffs = score_delta(c)
-                    for name, val in anchor.items():
-                        coeffs[name] = coeffs.get(name, 0) - val
-                    program.add_constraint(list(coeffs.items()), "<", base[weakest] - base[c])
-                result = ipcore.solve_ip(program, cap)
-                if result.status == ipcore.CAP_EXCEEDED:
-                    raise ResourceCapError("control program exceeded the IP node cap")
-                if result.feasible:
-                    solution = _decode_vote_solution(
-                        instance, v_groups, u_groups, dels, adds, result.assignment
-                    )
-                    if control_succeeds(instance, solution):
-                        return Verdict(True, solution)
-    return Verdict(False)
-
-
-def _decode_vote_solution(instance, v_groups, u_groups, dels, adds, assignment):
-    deleted = []
-    for (ballot, ids), (_, name) in zip(v_groups, dels):
-        deleted.extend(ids[: assignment[name]])
-    added = []
-    for (ballot, ids), (_, name) in zip(u_groups, adds):
-        added.extend(ids[: assignment[name]])
-    return ControlSolution(added_votes=tuple(sorted(added)), deleted_votes=tuple(sorted(deleted)))
+    return _vote_count_search(instance, guesses, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -551,8 +548,6 @@ def solve_ccadv_thiele_fpt(instance: ControlInstance, cap: Optional[int] = None)
     rule = instance.rule
     election = instance.base_election
     k = instance.k
-    la = instance.budget_add or 0
-    ld = instance.budget_delete or 0
     limit = effective_cap(cap if cap is not None else GUESS_CAP)
     roster = list(election.candidates)
     if math.comb(election.m, k) > 40:
@@ -561,63 +556,23 @@ def solve_ccadv_thiele_fpt(instance: ControlInstance, cap: Optional[int] = None)
     with_j = [w for w in all_committees if instance.distinguished <= w]
     if 2 ** len(with_j) > limit:
         raise ResourceCapError("collection guess space exceeds the cap")
-    v_groups = _ballot_groups(instance.registered_votes)
-    u_groups = _ballot_groups(instance.unregistered_votes)
-    base_scores = {w: core.committee_score(rule, election, w) for w in all_committees}
-    for r in range(1, len(with_j) + 1):
-        for family in combinations(with_j, r):
-            chosen = set(family)
-            program = ipcore.IntegerProgram()
-            dels, adds = [], []
-            for g, (ballot, ids) in enumerate(v_groups):
-                dels.append((ballot, program.add_variable(f"d{g}", 0, len(ids))))
-            for g, (ballot, ids) in enumerate(u_groups):
-                adds.append((ballot, program.add_variable(f"a{g}", 0, len(ids))))
-            if dels:
-                program.add_constraint([(name, 1) for _, name in dels], "<=", ld)
-            if adds:
-                program.add_constraint([(name, 1) for _, name in adds], "<=", la)
 
-            def delta(w):
-                coeffs = {}
-                for ballot, name in dels:
-                    weight = rule.omega_value(len(ballot & w))
-                    if weight:
-                        coeffs[name] = coeffs.get(name, Fraction(0)) - weight
-                for ballot, name in adds:
-                    weight = rule.omega_value(len(ballot & w))
-                    if weight:
-                        coeffs[name] = coeffs.get(name, Fraction(0)) + weight
-                return coeffs
+    def guesses(change):
+        score = {
+            w: (
+                core.committee_score(rule, election, w),
+                change(lambda ballot: rule.omega_value(len(ballot & w))),
+            )
+            for w in all_committees
+        }
+        for r in range(1, len(with_j) + 1):
+            for family in combinations(with_j, r):
+                anchor = score[family[0]]
+                yield [(score[w], "=", anchor) for w in family[1:]] + [
+                    (anchor, ">", score[w]) for w in all_committees if w not in family
+                ]
 
-            anchor = family[0]
-            a_delta = delta(anchor)
-            for w in family[1:]:
-                coeffs = delta(w)
-                for name, val in a_delta.items():
-                    coeffs[name] = coeffs.get(name, Fraction(0)) - val
-                program.add_constraint(
-                    list(coeffs.items()), "=", base_scores[anchor] - base_scores[w]
-                )
-            for w in all_committees:
-                if w in chosen:
-                    continue
-                coeffs = dict(a_delta)
-                for name, val in delta(w).items():
-                    coeffs[name] = coeffs.get(name, Fraction(0)) - val
-                program.add_constraint(
-                    list(coeffs.items()), ">", base_scores[w] - base_scores[anchor]
-                )
-            result = ipcore.solve_ip(program, cap)
-            if result.status == ipcore.CAP_EXCEEDED:
-                raise ResourceCapError("control program exceeded the IP node cap")
-            if result.feasible:
-                solution = _decode_vote_solution(
-                    instance, v_groups, u_groups, dels, adds, result.assignment
-                )
-                if control_succeeds(instance, solution):
-                    return Verdict(True, solution)
-    return Verdict(False)
+    return _vote_count_search(instance, guesses, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +688,6 @@ def solve_ccadc_colorcoding(
     seed: int = 0,
     repetitions: int = 1,
     cap: Optional[int] = None,
-    jcc_algo: Optional[str] = None,
 ) -> Verdict:
     """CCAC/CCDC/CCADC by color coding over added and deleted candidates.
 
@@ -749,8 +703,7 @@ def solve_ccadc_colorcoding(
         raise UnsupportedRuleError("this solver handles candidate control")
     if instance.rule.kind not in ("SAV", "NSAV", "ABCCV", "PAV", "MAV", "THIELE", "AV"):
         raise UnsupportedRuleError(f"unsupported rule {instance.rule.kind}")
-    if jcc_algo is None:
-        jcc_algo = "auto" if instance.rule.is_additive else "fptn"
+    jcc_algo = "auto" if instance.rule.is_additive else "fptn"
     la = instance.budget_add or 0
     ld = instance.budget_delete or 0
     deletable = [c for c in instance.registered_candidates if c not in instance.distinguished]

