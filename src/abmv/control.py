@@ -557,11 +557,15 @@ def solve_ccadv_thiele_fpt(instance: ControlInstance, cap: Optional[int] = None)
     if 2 ** len(with_j) > limit:
         raise ResourceCapError("collection guess space exceeds the cap")
 
+    # one scale covers every ballot, and every row compares two committees
+    ballots = election.votes + instance.unregistered_votes
+    _, omega = core.omega_table(rule, min(k, max((len(v) for v in ballots), default=0)))
+
     def guesses(change):
         score = {
             w: (
-                core.committee_score(rule, election, w),
-                change(lambda ballot: rule.omega_value(len(ballot & w))),
+                sum(omega[len(ballot & w)] for ballot in election.votes),
+                change(lambda ballot: omega[len(ballot & w)]),
             )
             for w in all_committees
         }

@@ -4,13 +4,15 @@ Every score this module returns is a `fractions.Fraction`; comparisons
 are therefore decided by cross-multiplied integer arithmetic and ties
 are exact. AV, SAV and NSAV scores are summed in integers from the
 per-size ballot weights of `size_weights` and become `Fraction`s only
-when returned. The additive rules expose the k-winning-threshold
-machinery (`class_threshold`, `partition_candidates`,
-`admitted_committees`) that the strategic solvers build on: a
-k-committee wins under an additive rule iff it holds every candidate
-above the threshold and fills its other seats from the candidates at
-it. Those are in every winning committee too when exactly k candidates
-reach the threshold, and otherwise only in some.
+when returned; `omega_table` gives Thiele ω values the same integer
+form for callers that sum them. The additive rules expose the
+k-winning-threshold machinery (`class_threshold`,
+`partition_candidates`, `admitted_committees`) that the strategic
+solvers build on: a k-committee wins under an additive rule iff it
+holds every candidate above the threshold and fills its other seats
+from the candidates at it. Those are in every winning committee too
+when exactly k candidates reach the threshold, and otherwise only in
+some.
 """
 
 from __future__ import annotations
@@ -274,6 +276,19 @@ def size_weights(rule: Rule, m: int, sizes: Iterable[int]) -> tuple:
         scale = math.lcm(*live, *(m - s for s in sizes if s != m))
         return scale, {s: scale // s + (scale // (m - s) if s != m else 0) for s in live}
     raise UnsupportedRuleError(f"{rule.kind} is not additive")
+
+
+def omega_table(rule: Rule, top: int) -> tuple:
+    """(scale, ints): ω(0..top) of a Thiele-family rule times `scale`, the
+    lcm of their denominators.
+
+    No overlap exceeds min(k, largest vote size), so that is the `top` a
+    caller needs; a THIELE table too short for it raises
+    `ConfigurationError`.
+    """
+    values = [rule.omega_value(i) for i in range(top + 1)]
+    scale = math.lcm(*(w.denominator for w in values))
+    return scale, [int(w * scale) for w in values]
 
 
 def nsav_penalty(rule: Rule, m: int, scale: int, sizes: Iterable[int]) -> int:

@@ -2,17 +2,20 @@
 
 All the fixed-parameter formulations in this package bound every
 variable by a multiset size, so a depth-first branch-and-bound with
-bound-tightening propagation decides them exactly. Strict inequalities
-are first-class: constraints are scaled to integer coefficients, after
-which `a < b` over integer-valued expressions becomes `a <= b - 1`.
-There is no LP relaxation and no floating point anywhere. A search that
-passes its node cap raises `ResourceCapError`, so a returned result is
-always a decision.
+bound-tightening propagation decides them exactly. Propagation works
+from a queue of rows, and a branch queues only the rows its variable
+occurs in, since the bounds it starts from are already a fixpoint.
+Strict inequalities are first-class: constraints are scaled to integer
+coefficients, after which `a < b` over integer-valued expressions
+becomes `a <= b - 1`. There is no LP relaxation and no floating point
+anywhere. A search that passes its node cap raises `ResourceCapError`,
+so a returned result is always a decision.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -51,7 +54,7 @@ class IntegerProgram:
         return name
 
     def add_constraint(self, coeffs, relation: str, rhs) -> None:
-        pairs = tuple((name, Fraction(c)) for name, c in coeffs if Fraction(c) != 0)
+        pairs = tuple((name, c) for name, c in ((name, Fraction(c)) for name, c in coeffs) if c)
         self.constraints.append(Constraint(pairs, relation, Fraction(rhs)))
 
     def add_comparison(self, left, relation: str, right) -> None:
@@ -124,7 +127,10 @@ def _normalized(program: IntegerProgram):
     rows = []
 
     def add_row(pairs, bound):
-        rows.append((tuple((index[name], c) for name, c in pairs if c != 0), bound))
+        merged = {}  # a variable listed twice occurs in its row once
+        for name, c in pairs:
+            merged[index[name]] = merged.get(index[name], 0) + c
+        rows.append((tuple((j, c) for j, c in merged.items() if c != 0), bound))
 
     for con in program.constraints:
         for name, _ in con.coeffs:
@@ -148,31 +154,46 @@ def _normalized(program: IntegerProgram):
     return rows
 
 
-def _propagate(rows, lower, upper):
-    """Tighten variable bounds until fixpoint; False on wipeout."""
-    changed = True
-    while changed:
-        changed = False
-        for pairs, bound in rows:
-            min_sum = 0
-            for j, c in pairs:
-                min_sum += c * (lower[j] if c > 0 else upper[j])
-            if min_sum > bound:
+def _propagate(rows, occurs, lower, upper, queue):
+    """Tighten variable bounds until fixpoint; False on wipeout.
+
+    Only the rows in `queue` are visited at first: the root passes every
+    row, a branch the rows of its variable, because the frame's bounds
+    are already a fixpoint. A tightened variable queues the other rows
+    it occurs in (`occurs[j]`); a row's own tightenings never change its
+    minimum activity, since each variable occurs in a row once. Every
+    tightening is monotone, so the fixpoint, and the verdict, do not
+    depend on the order rows are visited in.
+    """
+    queue = deque(queue)
+    waiting = set(queue)
+    while queue:
+        r = queue.popleft()
+        waiting.discard(r)
+        pairs, bound = rows[r]
+        min_sum = 0
+        for j, c in pairs:
+            min_sum += c * (lower[j] if c > 0 else upper[j])
+        if min_sum > bound:
+            return False
+        slack = bound - min_sum
+        for j, c in pairs:
+            if c > 0:
+                new_upper = lower[j] + slack // c
+                if new_upper >= upper[j]:
+                    continue
+                upper[j] = new_upper
+            else:
+                new_lower = upper[j] - slack // (-c)
+                if new_lower <= lower[j]:
+                    continue
+                lower[j] = new_lower
+            if lower[j] > upper[j]:
                 return False
-            slack = bound - min_sum
-            for j, c in pairs:
-                if c > 0:
-                    new_upper = lower[j] + slack // c
-                    if new_upper < upper[j]:
-                        upper[j] = new_upper
-                        changed = True
-                else:
-                    new_lower = upper[j] - slack // (-c)
-                    if new_lower > lower[j]:
-                        lower[j] = new_lower
-                        changed = True
-                if lower[j] > upper[j]:
-                    return False
+            for other in occurs[j]:
+                if other != r and other not in waiting:
+                    waiting.add(other)
+                    queue.append(other)
     return True
 
 
@@ -190,6 +211,11 @@ def solve_ip(program: IntegerProgram, node_cap: Optional[int] = None) -> IpResul
     if len(set(names)) != len(names):
         raise ValueError("duplicate variable names")
     rows = _normalized(program)
+    occurs = [[] for _ in names]
+    for r, (pairs, _) in enumerate(rows):
+        for j, _ in pairs:
+            occurs[j].append(r)
+    queue = range(len(rows))
     lower = [lo for _, lo, _ in program.variables]
     upper = [hi for _, _, hi in program.variables]
     for (name, lo, hi) in program.variables:
@@ -200,7 +226,7 @@ def solve_ip(program: IntegerProgram, node_cap: Optional[int] = None) -> IpResul
     # one frame per depth: [propagated lower, propagated upper, branch variable, next value]
     stack = []
     while True:
-        if _propagate(rows, lower, upper):
+        if _propagate(rows, occurs, lower, upper, queue):
             branch = next((j for j in range(len(lower)) if lower[j] < upper[j]), None)
             if branch is None:
                 assignment = dict(zip(names, lower))
@@ -219,6 +245,7 @@ def solve_ip(program: IntegerProgram, node_cap: Optional[int] = None) -> IpResul
             raise ResourceCapError(f"integer program exceeded the node cap {cap}")
         lower, upper = list(frame_lower), list(frame_upper)
         lower[branch] = upper[branch] = value
+        queue = occurs[branch]
     if not check_solution(program, assignment):
         raise AssertionError("solver produced an uncertified assignment")
     return IpResult(FEASIBLE, assignment)

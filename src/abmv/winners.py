@@ -192,24 +192,30 @@ def optimal_count_vectors(rule: Rule, election: Election, k: int, classes, cap: 
     for g in range(len(sizes) - 1, -1, -1):
         suffix[g] = suffix[g + 1] + sizes[g]
     vote_sizes = [len(v) for v in election.votes]
-    class_scores = None
+    # scores are integers over `scale`: additive weights from size_weights,
+    # Thiele weights from omega_table, MAV distances as they are
+    scale, class_scores = 1, None
     if rule.is_additive:
-        scored = core.additive_class_scores(rule, election)
-        class_scores = [scored[key][0] for key in approvers]
+        scale, weight = core.size_weights(rule, election.m, vote_sizes)
+        penalty = core.nsav_penalty(rule, election.m, scale, vote_sizes)
+        totals = core._integer_class_scores(election, weight)
+        class_scores = [totals[key][0] - penalty for key in approvers]
+    elif rule.kind != "MAV":
+        scale, omega = core.omega_table(rule, min(k, max(vote_sizes, default=0)))
 
     def score(counts):
         if not vote_sizes:
-            return core.ZERO
+            return 0
         if class_scores is not None:
-            return sum((c * s for c, s in zip(counts, class_scores)), core.ZERO)
+            return sum(c * s for c, s in zip(counts, class_scores))
         overlaps = [0] * len(vote_sizes)
         for g, c in enumerate(counts):
             if c:
                 for vid in approvers[g]:
                     overlaps[vid] += c
         if rule.kind == "MAV":
-            return Fraction(max(size + k - 2 * o for size, o in zip(vote_sizes, overlaps)))
-        return sum((rule.omega_value(o) for o in overlaps), core.ZERO)
+            return max(size + k - 2 * o for size, o in zip(vote_sizes, overlaps))
+        return sum(omega[o] for o in overlaps)
 
     minimizing = rule.orientation == "minimize"
     best, vectors = None, []
@@ -233,7 +239,7 @@ def optimal_count_vectors(rule: Rule, election: Election, k: int, classes, cap: 
         while True:
             depth -= 1
             if depth < 0:
-                return best, vectors
+                return (None if best is None else Fraction(best, scale)), vectors
             if counts[depth] < sizes[depth] and remaining > 0:
                 counts[depth] += 1
                 remaining -= 1
@@ -341,8 +347,13 @@ def _mav_short_program(election, k, short_key, optimum):
 
 
 def _thiele_short_program(rule, election, k, short_key, optimum):
-    """Omega-sum formulation: prefix indicators expand omega over integer overlaps."""
+    """Omega-sum formulation: prefix indicators expand omega over integer overlaps.
+
+    No overlap passes the largest vote, so the indicators stop there when
+    it is below k.
+    """
     program, names, classes, per_vote = _short_class_variables(election, k, short_key)
+    scale, omega = core.omega_table(rule, min(k, max((len(v) for v in election.votes), default=0)))
     total = []
     for vid in range(election.n):
         xv = program.add_variable(f"v{vid}", 0, k)
@@ -350,15 +361,15 @@ def _thiele_short_program(rule, election, k, short_key, optimum):
         program.add_constraint(coeffs, "=", 0)
         prev = None
         zs = []
-        for i in range(1, k + 1):
+        for i in range(1, len(omega)):
             z = program.add_variable(f"z{vid}_{i}", 0, 1)
             zs.append(z)
             if prev is not None:
                 program.add_constraint([(z, 1), (prev, -1)], "<=", 0)
-            total.append((z, rule.omega_value(i) - rule.omega_value(i - 1)))
+            total.append((z, omega[i] - omega[i - 1]))
             prev = z
         program.add_constraint([(z, 1) for z in zs] + [(xv, -1)], "=", 0)
-    program.add_constraint(total, "=", optimum)
+    program.add_constraint(total, "=", optimum * scale)
     return program
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -289,6 +290,31 @@ class TestRules:
             encoded = thiele(table)
             for combo in combinations(e.candidates, k):
                 assert core.committee_score(rule, e, combo) == core.committee_score(encoded, e, combo)
+
+
+class TestOmegaTable:
+    def test_pav_scales_by_the_lcm(self):
+        assert core.omega_table(PAV, 4) == (12, [0, 12, 18, 22, 25])
+
+    @pytest.mark.parametrize(
+        "rule",
+        [AV, PAV, ABCCV, thiele([0, 1, Fraction(4, 3), Fraction(11, 7), Fraction(9, 5), 2])],
+        ids=["av", "pav", "abccv", "thiele"],
+    )
+    def test_values_over_the_scale_are_omega(self, rule):
+        scale, ints = core.omega_table(rule, 5)
+        assert [Fraction(w, scale) for w in ints] == [rule.omega_value(i) for i in range(6)]
+        assert scale == math.lcm(*(rule.omega_value(i).denominator for i in range(6)))
+
+    def test_short_table_rejected(self):
+        assert core.omega_table(thiele([0, 1, 1]), 2) == (1, [0, 1, 1])
+        with pytest.raises(ConfigurationError):
+            core.omega_table(thiele([0, 1, 1]), 3)
+
+    def test_additive_and_mav_rules_have_no_table(self):
+        for rule in (SAV, NSAV, MAV):
+            with pytest.raises(UnsupportedRuleError):
+                core.omega_table(rule, 2)
 
 
 @settings(max_examples=80, deadline=None)

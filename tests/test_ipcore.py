@@ -139,6 +139,86 @@ def test_fpt_solvers_raise_past_the_ip_node_cap(solve, instance, ip_cap, monkeyp
         solve(instance, cap=ip_cap)
 
 
+def propagate_by_full_sweeps(rows, lower, upper):
+    """The reference propagation: sweep every row until a whole sweep
+    tightens nothing; False on wipeout."""
+    changed = True
+    while changed:
+        changed = False
+        for pairs, bound in rows:
+            min_sum = 0
+            for j, c in pairs:
+                min_sum += c * (lower[j] if c > 0 else upper[j])
+            if min_sum > bound:
+                return False
+            slack = bound - min_sum
+            for j, c in pairs:
+                if c > 0:
+                    new_upper = lower[j] + slack // c
+                    if new_upper < upper[j]:
+                        upper[j] = new_upper
+                        changed = True
+                else:
+                    new_lower = upper[j] - slack // (-c)
+                    if new_lower > lower[j]:
+                        lower[j] = new_lower
+                        changed = True
+                if lower[j] > upper[j]:
+                    return False
+    return True
+
+
+@st.composite
+def propagation_cases(draw):
+    """Random integer `sum <= bound` rows (each variable once per row),
+    bounds, and one variable to fix after the first fixpoint."""
+    count = draw(st.integers(1, 6))
+    bounds = [sorted(draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4)))) for _ in range(count)]
+    rows = []
+    for _ in range(draw(st.integers(1, 7))):
+        members = draw(st.lists(st.integers(0, count - 1), min_size=1, max_size=count, unique=True))
+        coefficient = st.integers(-5, 5).filter(bool)
+        rows.append((tuple((j, draw(coefficient)) for j in members), draw(st.integers(-12, 12))))
+    branch = draw(st.integers(0, count - 1))
+    return rows, [lo for lo, _ in bounds], [hi for _, hi in bounds], branch, draw(st.integers(-4, 4))
+
+
+def occurrences(rows, count):
+    occurs = [[] for _ in range(count)]
+    for r, (pairs, _) in enumerate(rows):
+        for j, _ in pairs:
+            occurs[j].append(r)
+    return occurs
+
+
+@settings(max_examples=500, deadline=None)
+@given(propagation_cases())
+def test_row_queue_propagation_matches_full_sweeps(case):
+    rows, lower, upper, branch, value = case
+    occurs = occurrences(rows, len(lower))
+    # from the root every row is queued
+    ref_lower, ref_upper = list(lower), list(upper)
+    expected = propagate_by_full_sweeps(rows, ref_lower, ref_upper)
+    assert ipcore._propagate(rows, occurs, lower, upper, range(len(rows))) == expected
+    if not expected:
+        return
+    assert (lower, upper) == (ref_lower, ref_upper)
+    # after a branch only the branched variable's rows are queued
+    if not lower[branch] <= value <= upper[branch]:
+        return
+    lower[branch] = upper[branch] = ref_lower[branch] = ref_upper[branch] = value
+    expected = propagate_by_full_sweeps(rows, ref_lower, ref_upper)
+    assert ipcore._propagate(rows, occurs, lower, upper, occurs[branch]) == expected
+    if expected:
+        assert (lower, upper) == (ref_lower, ref_upper)
+
+
+def test_a_variable_listed_twice_occurs_in_its_row_once():
+    p = simple_program([([("x", 1), ("y", 2), ("x", -3)], "<=", 1)], [("x", -3, 3), ("y", 0, 2)])
+    assert ipcore._normalized(p) == [(((0, -2), (1, 2)), 1)]
+    assert solve_ip(p).assignment == {"x": 0, "y": 0}
+
+
 def test_strict_and_rational_normalization():
     # x/3 < 1 over integers means x <= 2
     p = simple_program([([("x", Fraction(1, 3))], "<", 1)], [("x", 0, 9)])

@@ -1,3 +1,5 @@
+import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -5,8 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abmv import core, winners
-from abmv.core import ABCCV, AV, MAV, NSAV, PAV, SAV, Election, ResourceCapError, UnsupportedRuleError
+from abmv import core, ipcore, winners
+from abmv.core import (
+    ABCCV,
+    AV,
+    MAV,
+    NSAV,
+    PAV,
+    SAV,
+    ConfigurationError,
+    Election,
+    ResourceCapError,
+    UnsupportedRuleError,
+)
 from abmv.winners import JccInstance, j_cc, mav_single_winners, star_partition, winning_committees
 
 
@@ -207,8 +220,17 @@ def test_clone_swap_preserves_winning():
                     assert swapped in ws.committees
 
 
+# pairwise coprime denominators 3, 7, 5, 6 and 11: the integer ω table's
+# scale is their lcm 2,310, so scoring over any smaller scale goes wrong
+COPRIME_THIELE = core.thiele(
+    [0, 1, Fraction(4, 3), Fraction(11, 7), Fraction(9, 5), 2, Fraction(13, 6), Fraction(24, 11)]
+)
+
+
 class TestClassCountEnumeration:
-    RULES = (AV, SAV, NSAV, PAV, ABCCV, MAV, core.thiele([0, 2, 3, Fraction(7, 2), 4, 4, 4, 4]))
+    RULES = (
+        AV, SAV, NSAV, PAV, ABCCV, MAV, core.thiele([0, 2, 3, Fraction(7, 2), 4, 4, 4, 4]), COPRIME_THIELE,
+    )
 
     def test_matches_exhaustive(self):
         rng = random.Random(41)
@@ -251,3 +273,90 @@ class TestClassCountEnumeration:
         assert winners.optimal_score_by_classes(PAV, e, 4, cap=383) == Fraction(13, 2)
         with pytest.raises(ResourceCapError):
             winners.optimal_score_by_classes(PAV, e, 4, cap=382)
+
+    def test_short_omega_table_is_a_configuration_error(self):
+        # a vote of size 3 and k = 3 reach overlap 3, which [0, 1, 3/2] lacks
+        e = Election(["a", "b", "c", "d"], [{"a", "b", "c"}, {"d"}])
+        short = core.thiele([0, 1, Fraction(3, 2)])
+        with pytest.raises(ConfigurationError):
+            winners.optimal_score_by_classes(short, e, 3)
+        with pytest.raises(ConfigurationError):
+            j_cc(short, JccInstance(e, 3, {"d"}), "fptn")
+
+    def test_omega_is_needed_only_up_to_the_largest_vote(self):
+        # no overlap passes 2 here, so a table of length 3 decides k = 3
+        e = Election(["a", "b", "c", "d"], [{"a", "b"}, {"b", "c"}, {"d"}])
+        rule = core.thiele([0, 1, Fraction(3, 2)])
+        assert winners.optimal_score_by_classes(rule, e, 3) == Fraction(7, 2)
+        for wanted in ({"a"}, {"b"}, {"d"}):
+            inst = JccInstance(e, 3, wanted)
+            assert j_cc(rule, inst, "fptn") == j_cc(rule, inst, "bruteforce")
+
+
+# (rule, nodes): what `solve_ip` branched through on the Thiele shorting
+# program below when it propagated by full sweeps; a propagation that
+# tightens more or less than the full-sweep fixpoint moves these counts
+SHORT_PROGRAM_NODES = [(PAV, 219), (COPRIME_THIELE, 187)]
+
+
+@pytest.mark.parametrize("rule, nodes", SHORT_PROGRAM_NODES, ids=["pav", "coprime-thiele"])
+def test_thiele_short_program_node_count_is_pinned(rule, nodes, monkeypatch):
+    monkeypatch.delenv("ABMV_NODE_CAP", raising=False)
+    e = Election(
+        [f"c{i}" for i in range(9)],
+        [{"c0", "c1", "c2"}, {"c2", "c3"}, {"c3", "c4", "c5", "c6"}, {"c0", "c6", "c7"}, {"c1"}],
+    )
+    optimum = winners.optimal_score_by_classes(rule, e, 4)
+    program = winners._thiele_short_program(rule, e, 4, e.approver_sets["c2"], optimum)
+    assert ipcore.solve_ip(program, node_cap=nodes).feasible
+    with pytest.raises(ResourceCapError):
+        ipcore.solve_ip(program, node_cap=nodes - 1)
+
+
+def test_deep_jcc_program_node_count_is_pinned(monkeypatch):
+    # the 1,100-class bit-pattern election: c1's class gets one shorting
+    # program, and it needs 1,024 nodes
+    monkeypatch.delenv("ABMV_NODE_CAP", raising=False)
+    candidates = [f"c{i}" for i in range(1100)]
+    votes = [{f"c{i}" for i in range(1100) if i >> b & 1} for b in range(11)]
+    inst = JccInstance(Election(candidates, votes), 1, {"c1"})
+    monkeypatch.setattr(ipcore, "IP_NODE_CAP", 1024)
+    assert j_cc(PAV, inst, "fptn") is False
+    monkeypatch.setattr(ipcore, "IP_NODE_CAP", 1023)
+    with pytest.raises(ResourceCapError):
+        j_cc(PAV, inst, "fptn")
+
+
+# clone elections with C(m, k) > 2,500 committees, too many for the
+# benchmark's brute-force reference check: (approver patterns, votes,
+# clones per pattern, committee size)
+PIN_CLONE_SHAPES = ((5, 5, 6, 4), (6, 6, 5, 4), (7, 6, 5, 4), (8, 6, 5, 4), (10, 6, 4, 4))
+PIN_THIELE = core.thiele([0, 1, Fraction(3, 2), Fraction(7, 4), 2])
+FPTN_PIN_SHA256 = "f26f9a40a55d76484dcd722e4e9f9506db712f7368478b0adb9ff8477d9fef9b"
+
+
+def _cloned(base, copies, single):
+    """`base` with each candidate but `single` replaced by `copies` clones."""
+    names = {c: [f"{c}_{j}" for j in range(1 if c == single else copies)] for c in base.candidates}
+    votes = [[x for c in vote for x in names[c]] for vote in base.votes]
+    return Election([x for c in base.candidates for x in names[c]], votes)
+
+
+def test_fptn_verdicts_on_large_clone_elections_are_pinned():
+    """Verdicts recorded from the fptn path while it scored in `Fraction`s
+    and propagated by full sweeps; J is the uncloned, most approved candidate."""
+    digest = hashlib.sha256()
+    yes = 0
+    for i in range(200):
+        rng = random.Random(f"fptn-pin:{i}")
+        patterns, n, copies, k = PIN_CLONE_SHAPES[i % len(PIN_CLONE_SHAPES)]
+        rule = (PAV, ABCCV, MAV, PIN_THIELE)[i % 4]
+        base = random_election(rng, m_max=patterns, n_max=n, m_min=patterns, n_min=n)
+        top = max(base.candidates, key=lambda c: sum(c in v for v in base.votes))
+        e = _cloned(base, copies, top)
+        assert math.comb(e.m, k) > 2500
+        verdict = j_cc(rule, JccInstance(e, k, {f"{top}_0"}), algo="fptn")
+        yes += verdict
+        digest.update(repr((i, verdict)).encode())
+    assert yes == 77
+    assert digest.hexdigest() == FPTN_PIN_SHA256
