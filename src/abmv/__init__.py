@@ -25,7 +25,7 @@ from abmv.core import (
     restrict,
     thiele,
 )
-from abmv.winners import JccInstance, WinningSet, j_cc, mav_single_winners, star_partition, winning_committees
+from abmv.winners import JccInstance, WinningSet, j_cc, mav_single_winners, winning_committees
 
 __all__ = [
     "AV",
@@ -48,7 +48,6 @@ __all__ = [
     "pad_with_dummies",
     "partition_candidates",
     "restrict",
-    "star_partition",
     "thiele",
     "winning_committees",
 ]

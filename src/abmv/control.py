@@ -77,13 +77,13 @@ class ControlInstance:
             raise ValidationError(f"unknown control type {self.ctype!r}")
         C = self.registered_candidates
         D = self.unregistered_candidates
-        if set(C) & set(D):
+        if not (registered := set(C)).isdisjoint(D):
             raise ValidationError("registered and unregistered candidates overlap")
         if not 1 <= len(self.distinguished) <= self.k <= len(C):
             raise ValidationError("need 1 <= |J| <= k <= |C|")
-        if not self.distinguished <= set(C):
+        if not self.distinguished <= registered:
             raise ValidationError("distinguished candidates must be registered")
-        pool = set(C) | set(D)
+        pool = registered.union(D)
         for i, v in enumerate(self.registered_votes + self.unregistered_votes):
             if not v <= pool:
                 raise ValidationError(f"vote {i} leaves the candidate pool")
@@ -182,11 +182,12 @@ def apply_control(instance: ControlInstance, solution: ControlSolution) -> Elect
         if len(deleted_cands) > instance.budget_delete:
             raise ValidationError("deletion budget violated")
     if ctype in _VOTER_TYPES or ctype == "JCC":
-        votes = [v for i, v in enumerate(instance.registered_votes) if i not in set(deleted_votes)]
+        dropped = set(deleted_votes)
+        votes = [v for i, v in enumerate(instance.registered_votes) if i not in dropped]
         votes += [instance.unregistered_votes[i] for i in added_votes]
         return Election(instance.registered_candidates, votes)
-    removed = set(deleted_cands)
-    added_order = [c for c in instance.unregistered_candidates if c in set(added_cands)]
+    removed, added = set(deleted_cands), set(added_cands)
+    added_order = [c for c in instance.unregistered_candidates if c in added]
     roster = [c for c in instance.registered_candidates if c not in removed] + added_order
     if len(roster) < instance.k:
         raise ValidationError("fewer than k candidates would remain")
@@ -227,7 +228,7 @@ def _solution_stream(instance: ControlInstance, deletion_pool=None):
     if deletion_pool is None:
         pool = [c for c in election_order if c not in instance.distinguished]
     else:
-        pool = [c for c in election_order if c in set(deletion_pool)]
+        pool = list(filter(set(deletion_pool).__contains__, election_order))
     addable = instance.unregistered_candidates
     for total in range(la + ld + 1):
         for ra in range(min(la, total), -1, -1):
@@ -410,7 +411,7 @@ def solve_ccdv_mav_poly(instance: ControlInstance, cap: Optional[int] = None) ->
             )
             if len(deleted) > budget:
                 continue
-            kept = [v for i, v in enumerate(election.votes) if i not in set(deleted)]
+            kept = [v for v in election.votes if core.hamming_distance(members, v) <= x]
             if all(
                 (max((core.hamming_distance(other, v) for v in kept), default=0)) >= x + 1
                 for other in without_j
@@ -548,13 +549,13 @@ def solve_ccadv_thiele_fpt(instance: ControlInstance, cap: Optional[int] = None)
     rule = instance.rule
     election = instance.base_election
     k = instance.k
-    limit = effective_cap(cap if cap is not None else GUESS_CAP)
     roster = list(election.candidates)
     if math.comb(election.m, k) > 40:
         raise ResourceCapError("committee space too large for collection guessing")
     all_committees = [frozenset(w) for w in combinations(roster, k)]
     with_j = [w for w in all_committees if instance.distinguished <= w]
-    if 2 ** len(with_j) > limit:
+    # `cap` bounds each integer program's nodes, not the guesses
+    if 2 ** len(with_j) > effective_cap(GUESS_CAP):
         raise ResourceCapError("collection guess space exceeds the cap")
 
     # one scale covers every ballot, and every row compares two committees

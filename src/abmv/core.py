@@ -6,7 +6,7 @@ are exact. AV, SAV and NSAV scores are summed in integers from the
 per-size ballot weights of `size_weights` and become `Fraction`s only
 when returned; `omega_table` gives Thiele ω values the same integer
 form for callers that sum them. The additive rules expose the
-k-winning-threshold machinery (`class_threshold`,
+k-winning-threshold machinery (`class_threshold`, `split_classes`,
 `partition_candidates`, `admitted_committees`) that the strategic
 solvers build on: a k-committee wins under an additive rule iff it
 holds every candidate above the threshold and fills its other seats
@@ -21,8 +21,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from itertools import combinations, filterfalse, islice
+from typing import Collection, Iterable, Optional, Sequence
 
 ZERO = Fraction(0)
 
@@ -60,6 +60,9 @@ class Election:
 
     Votes keep their position, so witnesses can reference them by index.
     Instances are immutable after construction and safe to share.
+    `_index` (behind `index`) and `approver_sets` hold one entry per
+    candidate; the padded-roster paths (class scores, partition winners,
+    additive J-CC) go through `approval_classes`, which builds neither.
     """
 
     candidates: tuple
@@ -68,9 +71,9 @@ class Election:
     def __init__(self, candidates: Iterable[str], votes: Iterable[Iterable[str]]):
         object.__setattr__(self, "candidates", tuple(candidates))
         object.__setattr__(self, "votes", tuple(_as_ballot(v) for v in votes))
-        if len(set(self.candidates)) != len(self.candidates):
-            raise DomainError("duplicate candidate labels")
         roster = set(self.candidates)
+        if len(roster) != len(self.candidates):
+            raise DomainError("duplicate candidate labels")
         for i, vote in enumerate(self.votes):
             if not vote <= roster:
                 raise DomainError(f"vote {i} approves candidates outside the roster")
@@ -93,38 +96,47 @@ class Election:
         except KeyError:
             raise DomainError(f"unknown candidate {candidate!r}") from None
 
-    def sort_candidates(self, members: Iterable[str]) -> tuple:
-        """Canonical committee form: members ordered by roster index."""
-        return tuple(sorted(members, key=self.index))
-
     @cached_property
     def approver_sets(self) -> dict:
         """Candidate -> frozenset of indices of the votes approving it.
 
-        Never-approved candidates (padding clones) all share one empty
-        frozenset, so padded rosters cost one dict entry per candidate.
+        A whole-roster cache: never-approved candidates (padding clones)
+        all share one empty frozenset, but each still costs a dict entry.
         """
-        approvers: dict = {}
-        for i, vote in enumerate(self.votes):
-            for c in vote:
-                approvers.setdefault(c, []).append(i)
         sets = dict.fromkeys(self.candidates, frozenset())
-        for c, ids in approvers.items():
-            sets[c] = frozenset(ids)
+        sets.update(_approved_sets(self.votes))
         return sets
 
     @cached_property
     def approval_classes(self) -> dict:
         """Group candidates by their approver set (clones land together).
 
-        Keys are frozensets of vote indices (the empty key collects
-        candidates approved by nobody); values are roster-ordered tuples.
-        The groups partition the roster.
+        Keys are frozensets of vote indices (the empty key collects the
+        candidates approved by nobody), in the roster order of each class's
+        first member; values are roster-ordered tuples. Never-approved
+        candidates that end the roster, as padding leaves them, are one slice.
         """
+        approved = _approved_sets(self.votes)
+        # every candidate before the first unapproved one is approved
+        split = next((i for i, c in enumerate(self.candidates) if c not in approved), self.m)
         groups: dict = {}
-        for c in self.candidates:
-            groups.setdefault(self.approver_sets[c], []).append(c)
+        for c in self.candidates[:split]:
+            groups.setdefault(approved[c], []).append(c)
+        if split < self.m:
+            rest, later = self.candidates[split:], len(approved) - split
+            groups[frozenset()] = tuple(filterfalse(approved.__contains__, rest)) if later else rest
+            for c in islice(filter(approved.__contains__, rest), later):
+                groups.setdefault(approved[c], []).append(c)
         return {key: tuple(members) for key, members in groups.items()}
+
+
+def _approved_sets(votes: Sequence[frozenset]) -> dict:
+    """Approved candidate -> frozenset of indices of the votes approving it."""
+    approvers: dict = {}
+    for i, vote in enumerate(votes):
+        for c in vote:
+            approvers.setdefault(c, []).append(i)
+    return {c: frozenset(ids) for c, ids in approvers.items()}
 
 
 def restrict(election: Election, keep: Iterable[str]) -> Election:
@@ -149,13 +161,9 @@ def pad_with_dummies(election: Election, count: int, prefix: str = "~dummy") -> 
     if count == 0:
         return election
     existing = set(election.candidates)
-    dummies = []
-    i = 0
-    while len(dummies) < count:
-        name = f"{prefix}{i}"
-        if name not in existing:
-            dummies.append(name)
-        i += 1
+    dummies = [f"{prefix}{i}" for i in range(count)]
+    if not existing.isdisjoint(dummies):  # at most len(existing) names are taken
+        dummies = [d for d in (f"{prefix}{i}" for i in range(count + len(existing))) if d not in existing][:count]
     return Election(election.candidates + tuple(dummies), election.votes)
 
 
@@ -429,22 +437,21 @@ def k_winning_threshold(rule: Rule, election: Election, k: int) -> Fraction:
     return partition_candidates(rule, election, k).threshold
 
 
+def split_classes(class_scores: Collection, k: int) -> tuple:
+    """(threshold, sure, possible): the k-threshold of (score, members)
+    classes, and the classes in every and in only some winning k-committees."""
+    threshold, ties_sure = class_threshold(((score, len(members)) for score, members in class_scores), k)
+    above = [(score, members) for score, members in class_scores if score > threshold]
+    at = [(score, members) for score, members in class_scores if score == threshold]
+    return (threshold, above + at, []) if ties_sure else (threshold, above, at)
+
+
 def partition_candidates(rule: Rule, election: Election, k: int) -> ThresholdPartition:
     if not 1 <= k <= election.m:
         raise DomainError(f"k={k} out of range for {election.m} candidates")
-    class_scores = additive_class_scores(rule, election).values()
-    threshold, ties_sure = class_threshold(
-        ((score, len(members)) for score, members in class_scores), k
-    )
-    swin, pwin, slose = [], [], []
-    for score, members in class_scores:
-        if score > threshold or (score == threshold and ties_sure):
-            swin.extend(members)
-        elif score == threshold:
-            pwin.extend(members)
-        else:
-            slose.extend(members)
-    return ThresholdPartition(threshold, frozenset(swin), frozenset(pwin), frozenset(slose))
+    threshold, sure, possible = split_classes(additive_class_scores(rule, election).values(), k)
+    swin, pwin = (frozenset().union(*(members for _, members in group)) for group in (sure, possible))
+    return ThresholdPartition(threshold, swin, pwin, frozenset(election.candidates) - swin - pwin)
 
 
 def admitted_committees(swin: Iterable[str], pwin: Iterable[str], k: int) -> list:
@@ -466,9 +473,9 @@ def additive_jcc(rule: Rule, election: Election, k: int, distinguished: Iterable
     for c in wanted:
         election.index(c)
     class_scores = additive_class_scores(rule, election)
-    wanted_scores = [class_scores[key][0] for key in {election.approver_sets[c] for c in wanted}]
+    keys = {frozenset(i for i, vote in enumerate(election.votes) if c in vote) for c in wanted}
     weighted = [(score, len(members)) for score, members in class_scores.values()]
-    return jcc_from_scores(weighted, k, wanted_scores)
+    return jcc_from_scores(weighted, k, [class_scores[key][0] for key in keys])
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Optional
 
 from abmv import core
@@ -55,27 +55,10 @@ class JccInstance:
             self.election.index(c)
 
 
-@dataclass(frozen=True)
-class StarPartition:
-    """Candidates grouped by their exact approver set."""
-
-    groups: dict  # frozenset of vote indices -> tuple of candidates
-
-    def m_star(self, key: frozenset) -> int:
-        return len(self.groups.get(key, ()))
-
-
-def star_partition(election: Election) -> StarPartition:
-    return StarPartition(dict(election.approval_classes))
-
-
-def _colex_key(election: Election, committee) -> tuple:
-    return tuple(reversed([election.index(c) for c in committee]))
-
-
-def _sorted_committees(election: Election, committees) -> tuple:
-    canon = [election.sort_candidates(w) for w in committees]
-    return tuple(sorted(canon, key=lambda w: _colex_key(election, w)))
+def _sorted_committees(position, committees) -> tuple:
+    """Committees in roster order by `position`, colexicographically sorted."""
+    canon = [tuple(sorted(w, key=position)) for w in committees]
+    return tuple(sorted(canon, key=lambda w: [position(c) for c in reversed(w)]))
 
 
 def winning_committees(
@@ -116,17 +99,24 @@ def winning_committees(
             winners = [combo]
         elif score == best:
             winners.append(combo)
-    return WinningSet(_sorted_committees(election, winners), best)
+    return WinningSet(_sorted_committees(election.index, winners), best)
 
 
 def _winning_by_partition(rule, election, k, cap):
-    part = core.partition_candidates(rule, election, k)
+    """swin plus any k - |swin| of pwin, each scoring swin's scores plus one
+    threshold per other seat; placed by the pool's roster positions alone."""
+    threshold, sure, possible = core.split_classes(core.additive_class_scores(rule, election).values(), k)
+    swin = [c for _, members in sure for c in members]
+    pwin = [c for _, members in possible for c in members]
     limit = effective_cap(cap if cap is not None else COMMITTEE_ENUMERATION_CAP)
-    if math.comb(len(part.pwin), k - len(part.swin)) > limit:
+    if math.comb(len(pwin), k - len(swin)) > limit:
         raise ResourceCapError("possible-winner pool too large to enumerate")
-    committees = core.admitted_committees(part.swin, part.pwin, k)
-    optimum = committee_score(rule, election, committees[0])
-    return WinningSet(_sorted_committees(election, committees), optimum)
+    optimum = sum(score * len(members) for score, members in sure) + (k - len(swin)) * threshold
+    pool = frozenset(swin).union(pwin)
+    # the pass stops at the pool's last member, early in a padded roster
+    position = {c: i for i, c in enumerate(islice(filter(pool.__contains__, election.candidates), len(pool)))}
+    committees = core.admitted_committees(swin, pwin, k)
+    return WinningSet(_sorted_committees(position.__getitem__, committees), optimum)
 
 
 def mav_single_winners(election: Election) -> frozenset:

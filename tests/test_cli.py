@@ -15,8 +15,8 @@ from abmv import manipulation as man, control as ctl
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(abmv.__file__)))
 
 
-def run_cli(args, cwd, env=None):
-    """Run ``python -m abmv.cli`` in ``cwd`` against the package under test.
+def run_cli(args, cwd, env=None, module="abmv.cli"):
+    """Run ``python -m <module>`` in ``cwd`` against the package under test.
 
     An ``ABMV_NODE_CAP`` from the calling shell is dropped so that every cap
     is the solver default unless a test sets it through ``env``.
@@ -26,7 +26,7 @@ def run_cli(args, cwd, env=None):
     child_env["PYTHONPATH"] = PACKAGE_ROOT + (os.pathsep + inherited if inherited else "")
     child_env.update(env or {})
     return subprocess.run(
-        [sys.executable, "-m", "abmv.cli", *args],
+        [sys.executable, "-m", module, *args],
         capture_output=True, text=True, cwd=cwd, env=child_env,
     )
 
@@ -73,6 +73,12 @@ def test_partition_winners_print_the_exhaustive_bytes(example_files, rule):
     assert outputs[0].returncode == 0
     assert len(json.loads(outputs[0].stdout)["committees"]) == 3
     assert outputs[0].stdout == outputs[1].stdout
+
+
+def test_package_runs_as_a_module(tmp_path):
+    proc = run_cli(["--help"], tmp_path, module="abmv")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: abmv")
 
 
 def test_jcc_example2_exit_zero(example_files):

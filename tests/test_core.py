@@ -265,6 +265,73 @@ class TestRestrictAndPad:
                 if sav[a] != sav[b]:
                     assert (sav[a] > sav[b]) == (nsav[a] > nsav[b])
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 12), max_size=6, unique=True), st.integers(1, 8))
+    @example(taken=[0, 1, 2], count=3)
+    @example(taken=[1, 3], count=4)
+    def test_pad_skips_taken_dummy_names(self, taken, count):
+        e = Election(["a"] + [f"~dummy{i}" for i in taken], [{"a"}, set()])
+        expected, i = [], 0
+        while len(expected) < count:
+            if f"~dummy{i}" not in e.candidates:
+                expected.append(f"~dummy{i}")
+            i += 1
+        p = core.pad_with_dummies(e, count)
+        assert p.candidates == e.candidates + tuple(expected)
+        assert p.votes == e.votes
+
+
+def approval_classes_by_roster_loop(e):
+    """The reference grouping: every candidate, in roster order, by approver set."""
+    groups = {}
+    for c in e.candidates:
+        key = frozenset(i for i, vote in enumerate(e.votes) if c in vote)
+        groups.setdefault(key, []).append(c)
+    return [(key, tuple(members)) for key, members in groups.items()]
+
+
+@st.composite
+def rosters_with_unapproved(draw):
+    """Approved-able candidates plus never-approved ones placed first,
+    interleaved or last; votes may be missing or empty."""
+    real = [f"c{i}" for i in range(draw(st.integers(0, 5)))]
+    unapproved = [f"u{i}" for i in range(draw(st.integers(0, 4)))]
+    placement = draw(st.sampled_from(["first", "interleaved", "last"]))
+    if placement == "first":
+        roster = unapproved + real
+    elif placement == "last":
+        roster = real + unapproved
+    else:
+        roster = draw(st.permutations(real + unapproved))
+    votes = draw(st.lists(st.sets(st.sampled_from(real)), max_size=5)) if real else draw(
+        st.lists(st.just(set()), max_size=3)
+    )
+    return Election(roster, votes)
+
+
+class TestApprovalClasses:
+    def test_clones_share_a_group(self):
+        e = Election(["a", "b", "c"], [{"a", "b"}, {"a", "b", "c"}])
+        assert e.approval_classes[frozenset({0, 1})] == ("a", "b")
+
+    def test_example1_grouping(self, example1_full):
+        assert ("x", "y", "z") in example1_full.approval_classes.values()
+
+    def test_all_distinct(self):
+        e = Election(["a", "b"], [{"a"}, {"a", "b"}])
+        classes = e.approval_classes
+        assert all(len(members) == 1 for members in classes.values())
+        assert sum(len(members) for members in classes.values()) == e.m
+
+    @settings(max_examples=400, deadline=None)
+    @given(rosters_with_unapproved())
+    @example(Election(["u0", "c0", "u1", "c1"], [{"c0"}, set(), {"c0", "c1"}]))
+    @example(Election(["c0", "u0"], []))
+    @example(Election([], []))
+    def test_matches_a_loop_over_the_roster(self, e):
+        assert list(e.approval_classes.items()) == approval_classes_by_roster_loop(e)
+        assert "_index" not in e.__dict__ and "approver_sets" not in e.__dict__
+
 
 class TestRules:
     def test_orientation(self):

@@ -139,6 +139,14 @@ def test_fpt_solvers_raise_past_the_ip_node_cap(solve, instance, ip_cap, monkeyp
         solve(instance, cap=ip_cap)
 
 
+def test_thiele_fpt_cap_bounds_only_the_program_nodes(monkeypatch):
+    # two collection guesses: a cap of 1 once refused them before any program ran
+    monkeypatch.delenv("ABMV_NODE_CAP", raising=False)
+    instance = FPT_CAP_CASES[-1][1]
+    with pytest.raises(ResourceCapError, match="node cap"):
+        ctl.solve_ccadv_thiele_fpt(instance, cap=1)
+
+
 def propagate_by_full_sweeps(rows, lower, upper):
     """The reference propagation: sweep every row until a whole sweep
     tightens nothing; False on wipeout."""

@@ -20,7 +20,7 @@ from abmv.core import (
     ResourceCapError,
     UnsupportedRuleError,
 )
-from abmv.winners import JccInstance, j_cc, mav_single_winners, star_partition, winning_committees
+from abmv.winners import JccInstance, j_cc, mav_single_winners, winning_committees
 
 
 def random_election(rng, m_max=6, n_max=5, m_min=1, n_min=0):
@@ -78,6 +78,15 @@ class TestWinningCommittees:
         ws = winning_committees(SAV, example1_full, 3, strategy="partition")
         assert len(calls) == 1
         assert ws == winning_committees(SAV, example1_full, 3, strategy="exhaustive")
+
+    @pytest.mark.parametrize("rule", [AV, SAV, NSAV])
+    def test_partition_strategy_builds_no_whole_roster_table(self, rule):
+        base = Election(["a", "b", "c", "d"], [{"a", "b"}, {"b", "c"}, {"c"}])
+        e = core.pad_with_dummies(base, 2000)
+        ws = winning_committees(rule, e, 2, strategy="partition")
+        assert "_index" not in e.__dict__ and "approver_sets" not in e.__dict__
+        assert ws.committees == (("b", "c"),)
+        assert ws.optimum == core.committee_score(rule, e, ("b", "c"))
 
     def test_partition_strategy_needs_additive(self, example1_full):
         with pytest.raises(UnsupportedRuleError):
@@ -142,24 +151,6 @@ class TestMavSingleWinners:
                 if len(v) == top:
                     shared &= v
             assert out <= shared or out == frozenset(e.candidates)
-
-
-class TestStarPartition:
-    def test_clones_share_a_group(self):
-        e = Election(["a", "b", "c"], [{"a", "b"}, {"a", "b", "c"}])
-        part = star_partition(e)
-        assert part.groups[frozenset({0, 1})] == ("a", "b")
-
-    def test_example1_grouping(self, example1_full):
-        part = star_partition(example1_full)
-        groups = {members for members in part.groups.values()}
-        assert ("x", "y", "z") in groups
-
-    def test_all_distinct(self):
-        e = Election(["a", "b"], [{"a"}, {"a", "b"}])
-        part = star_partition(e)
-        assert all(len(v) == 1 for v in part.groups.values())
-        assert sum(part.m_star(key) for key in part.groups) == e.m
 
 
 class TestJcc:
