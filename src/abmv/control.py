@@ -406,12 +406,11 @@ def solve_ccdv_mav_poly(instance: ControlInstance, cap: Optional[int] = None) ->
     for x in range(0, m + k + 1):
         for w in with_j:
             members = frozenset(w)
-            deleted = tuple(
-                i for i, v in enumerate(election.votes) if core.hamming_distance(members, v) > x
-            )
+            far = [core.hamming_distance(members, v) > x for v in election.votes]
+            deleted = tuple(i for i, too_far in enumerate(far) if too_far)
             if len(deleted) > budget:
                 continue
-            kept = [v for v in election.votes if core.hamming_distance(members, v) <= x]
+            kept = [v for v, too_far in zip(election.votes, far) if not too_far]
             if all(
                 (max((core.hamming_distance(other, v) for v in kept), default=0)) >= x + 1
                 for other in without_j

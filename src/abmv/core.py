@@ -160,10 +160,9 @@ def pad_with_dummies(election: Election, count: int, prefix: str = "~dummy") -> 
         raise DomainError("dummy count must be nonnegative")
     if count == 0:
         return election
-    existing = set(election.candidates)
-    dummies = [f"{prefix}{i}" for i in range(count)]
-    if not existing.isdisjoint(dummies):  # at most len(existing) names are taken
-        dummies = [d for d in (f"{prefix}{i}" for i in range(count + len(existing))) if d not in existing][:count]
+    taken = set(election.candidates)
+    names = [f"{prefix}{i}" for i in range(count + len(taken))]  # room for every collision
+    dummies = islice(filterfalse(taken.__contains__, names), count)
     return Election(election.candidates + tuple(dummies), election.votes)
 
 
@@ -471,7 +470,8 @@ def additive_jcc(rule: Rule, election: Election, k: int, distinguished: Iterable
     """
     wanted = frozenset(distinguished)
     for c in wanted:
-        election.index(c)
+        if c not in election.candidates:
+            raise DomainError(f"unknown candidate {c!r}")
     class_scores = additive_class_scores(rule, election)
     keys = {frozenset(i for i, vote in enumerate(election.votes) if c in vote) for c in wanted}
     weighted = [(score, len(members)) for score, members in class_scores.values()]

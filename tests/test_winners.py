@@ -16,6 +16,7 @@ from abmv.core import (
     PAV,
     SAV,
     ConfigurationError,
+    DomainError,
     Election,
     ResourceCapError,
     UnsupportedRuleError,
@@ -84,9 +85,12 @@ class TestWinningCommittees:
         base = Election(["a", "b", "c", "d"], [{"a", "b"}, {"b", "c"}, {"c"}])
         e = core.pad_with_dummies(base, 2000)
         ws = winning_committees(rule, e, 2, strategy="partition")
+        assert core.additive_jcc(rule, e, 2, ["b"]) and not core.additive_jcc(rule, e, 2, ["a"])
         assert "_index" not in e.__dict__ and "approver_sets" not in e.__dict__
         assert ws.committees == (("b", "c"),)
         assert ws.optimum == core.committee_score(rule, e, ("b", "c"))
+        with pytest.raises(DomainError, match="unknown candidate"):
+            core.additive_jcc(rule, e, 2, ["z"])
 
     def test_partition_strategy_needs_additive(self, example1_full):
         with pytest.raises(UnsupportedRuleError):
