@@ -5,9 +5,9 @@ variable by a multiset size, so a depth-first branch-and-bound with
 bound-tightening propagation decides them exactly. Propagation works
 from a queue of rows, and a branch queues only the rows its variable
 occurs in, since the bounds it starts from are already a fixpoint.
-Strict inequalities are first-class: constraints are scaled to integer
-coefficients, after which `a < b` over integer-valued expressions
-becomes `a <= b - 1`. There is no LP relaxation and no floating point
+Strict inequalities are first-class: rows are scaled to integers as
+they are added, so `a < b` over integer-valued expressions becomes
+`a <= b - 1`. There is no LP relaxation and no floating point
 anywhere. A search that passes its node cap raises `ResourceCapError`,
 so a returned result is always a decision.
 """
@@ -15,15 +15,16 @@ so a returned result is always a decision.
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from abmv.caps import IP_NODE_CAP, effective_cap
 from abmv.core import ResourceCapError
 
-RELATIONS = ("<=", "<", "=", ">=", ">")
+_HOLDS = {"<=": operator.le, "<": operator.lt, "=": operator.eq, ">=": operator.ge, ">": operator.gt}
+RELATIONS = tuple(_HOLDS)
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -31,18 +32,14 @@ INFEASIBLE = "infeasible"
 
 @dataclass(frozen=True)
 class Constraint:
-    coeffs: tuple  # ((variable_name, Fraction), ...)
+    coeffs: tuple  # ((variable_name, int), ...), no zero coefficients
     relation: str
-    rhs: Fraction
-
-    def __post_init__(self):
-        if self.relation not in RELATIONS:
-            raise ValueError(f"unknown relation {self.relation!r}")
+    rhs: int
 
 
 @dataclass
 class IntegerProgram:
-    """Integer variables with finite bounds plus rational linear constraints."""
+    """Integer variables with finite bounds plus linear constraints kept in integers."""
 
     variables: list = field(default_factory=list)  # (name, lower, upper)
     constraints: list = field(default_factory=list)
@@ -54,8 +51,13 @@ class IntegerProgram:
         return name
 
     def add_constraint(self, coeffs, relation: str, rhs) -> None:
-        pairs = tuple((name, c) for name, c in ((name, Fraction(c)) for name, c in coeffs) if c)
-        self.constraints.append(Constraint(pairs, relation, Fraction(rhs)))
+        """Add `sum(c * x) relation rhs`, scaled by the lcm of its denominators."""
+        if relation not in _HOLDS:
+            raise ValueError(f"unknown relation {relation!r}")
+        pairs = [(name, c) for name, c in coeffs if c]
+        scale = math.lcm(rhs.denominator, *(c.denominator for _, c in pairs))
+        row = tuple((name, int(c * scale)) for name, c in pairs)
+        self.constraints.append(Constraint(row, relation, int(rhs * scale)))
 
     def add_comparison(self, left, relation: str, right) -> None:
         """Add `left relation right` over (constant, {variable: coefficient})
@@ -65,24 +67,6 @@ class IntegerProgram:
         for name, c in right_coeffs.items():
             coeffs[name] = coeffs.get(name, 0) - c
         self.add_constraint(coeffs.items(), relation, right_const - left_const)
-
-    def variable_names(self):
-        return [name for name, _, _ in self.variables]
-
-    def to_lp_text(self) -> str:
-        """LP-format export for external study; the internal solver is authoritative."""
-        lines = ["\\ exported integer program", "Minimize", " obj: 0", "Subject To"]
-        for i, con in enumerate(self.constraints):
-            terms = " + ".join(f"{c} {name}" for name, c in con.coeffs) or "0"
-            rel = {"<=": "<=", "<": "<", "=": "=", ">=": ">=", ">": ">"}[con.relation]
-            lines.append(f" c{i}: {terms} {rel} {con.rhs}")
-        lines.append("Bounds")
-        for name, lo, hi in self.variables:
-            lines.append(f" {lo} <= {name} <= {hi}")
-        lines.append("General")
-        lines.append(" " + " ".join(self.variable_names()))
-        lines.append("End")
-        return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -104,24 +88,16 @@ def check_solution(program: IntegerProgram, assignment: dict) -> bool:
         if value != int(value) or not lo <= value <= hi:
             return False
     for con in program.constraints:
-        lhs = sum((Fraction(assignment[name]) * c for name, c in con.coeffs), Fraction(0))
-        ok = {
-            "<=": lhs <= con.rhs,
-            "<": lhs < con.rhs,
-            "=": lhs == con.rhs,
-            ">=": lhs >= con.rhs,
-            ">": lhs > con.rhs,
-        }[con.relation]
-        if not ok:
+        lhs = sum(assignment[name] * c for name, c in con.coeffs)
+        if not _HOLDS[con.relation](lhs, con.rhs):
             return False
     return True
 
 
 def _normalized(program: IntegerProgram):
-    """Rewrite constraints as integer-coefficient `sum <= bound` rows.
+    """Rewrite constraints as `sum <= bound` rows over variable indices.
 
-    Scaling by the lcm of denominators preserves the solution set, and
-    strict relations tighten by one because both sides are integers.
+    Strict relations tighten by one because both sides are integers.
     """
     index = {name: i for i, (name, _, _) in enumerate(program.variables)}
     rows = []
@@ -129,28 +105,16 @@ def _normalized(program: IntegerProgram):
     def add_row(pairs, bound):
         merged = {}  # a variable listed twice occurs in its row once
         for name, c in pairs:
+            if name not in index:
+                raise ValueError(f"constraint references unknown variable {name!r}")
             merged[index[name]] = merged.get(index[name], 0) + c
         rows.append((tuple((j, c) for j, c in merged.items() if c != 0), bound))
 
     for con in program.constraints:
-        for name, _ in con.coeffs:
-            if name not in index:
-                raise ValueError(f"constraint references unknown variable {name!r}")
-        denoms = [c.denominator for _, c in con.coeffs] + [con.rhs.denominator]
-        scale = math.lcm(*denoms) if denoms else 1
-        pairs = [(name, int(c * scale)) for name, c in con.coeffs]
-        rhs = int(con.rhs * scale)
-        if con.relation == "<=":
-            add_row(pairs, rhs)
-        elif con.relation == "<":
-            add_row(pairs, rhs - 1)
-        elif con.relation == ">=":
-            add_row([(n, -c) for n, c in pairs], -rhs)
-        elif con.relation == ">":
-            add_row([(n, -c) for n, c in pairs], -rhs - 1)
-        else:  # equality: a pair of <= rows
-            add_row(pairs, rhs)
-            add_row([(n, -c) for n, c in pairs], -rhs)
+        if con.relation in ("<=", "<", "="):
+            add_row(con.coeffs, con.rhs - (con.relation == "<"))
+        if con.relation in (">=", ">", "="):
+            add_row([(name, -c) for name, c in con.coeffs], -con.rhs - (con.relation == ">"))
     return rows
 
 
@@ -207,7 +171,7 @@ def solve_ip(program: IntegerProgram, node_cap: Optional[int] = None) -> IpResul
     returned.
     """
     cap = effective_cap(node_cap if node_cap is not None else IP_NODE_CAP)
-    names = program.variable_names()
+    names = [name for name, _, _ in program.variables]
     if len(set(names)) != len(names):
         raise ValueError("duplicate variable names")
     rows = _normalized(program)

@@ -211,96 +211,98 @@ def random_control_instance(rng, rule, ctype, m_max=5, n_max=5, u_max=4, d_max=3
     return ctl.ControlInstance(ctype, rule, C, V, k, J, D, U, ba, bd)
 
 
-def _check_manip_agreement(result, rng, instance, solver):
-    brute = man.solve_manipulation_bruteforce(instance)
+def _check_agreement(result, instance, solver, bruteforce, certify, describe):
+    """Check `solver` against `bruteforce`, certify every YES witness with
+    `certify`, and report a disagreement as `describe()`."""
+    brute = bruteforce(instance)
     special = solver(instance)
     for verdict in (brute, special):
         if verdict.yes:
             result.yes_verdicts += 1
-            if man.certify_manipulation(instance, verdict.witness):
+            if certify(instance, verdict.witness):
                 result.certified += 1
             else:
                 result.fail("uncertified YES witness")
     if brute.yes != special.yes:
-        result.fail(
+        result.fail(describe())
+
+
+def _check_manip_agreement(result, instance, solver):
+    _check_agreement(
+        result, instance, solver, man.solve_manipulation_bruteforce, man.certify_manipulation,
+        lambda: (
             f"disagreement on {instance.rule.kind} {instance.variant} "
             f"votes={sorted(map(sorted, instance.honest_votes))} "
             f"manip={sorted(map(sorted, instance.manipulative_votes))} k={instance.k}"
-        )
+        ),
+    )
 
 
-def _check_control_agreement(result, rng, instance, solver):
-    brute = ctl.solve_control_bruteforce(instance)
-    special = solver(instance)
-    for verdict in (brute, special):
-        if verdict.yes:
-            result.yes_verdicts += 1
-            if ctl.control_succeeds(instance, verdict.witness):
-                result.certified += 1
-            else:
-                result.fail("uncertified YES witness")
-    if brute.yes != special.yes:
-        result.fail(
+def _check_control_agreement(result, instance, solver):
+    _check_agreement(
+        result, instance, solver, ctl.solve_control_bruteforce, ctl.control_succeeds,
+        lambda: (
             f"disagreement on {instance.rule.kind} {instance.ctype} "
             f"votes={sorted(map(sorted, instance.registered_votes))} k={instance.k} "
             f"J={sorted(instance.distinguished)}"
-        )
+        ),
+    )
 
 
 def _agreement_trial_builders():
     def av_const(result, rng):
         variant = rng.choice(["CBCM", "SBCM"])
         inst = random_manipulation_instance(rng, AV, variant, 5, 4, 3)
-        _check_manip_agreement(result, rng, inst, man.solve_av_const_manipulators)
+        _check_manip_agreement(result, inst, man.solve_av_const_manipulators)
 
     def savnsav_const(result, rng):
         rule = rng.choice([SAV, NSAV])
         variant = rng.choice(["CBCM", "SBCM"])
         t_max = 3 if rng.random() < 0.2 else 2
         inst = random_manipulation_instance(rng, rule, variant, 4 if t_max == 2 else 3, 4, t_max)
-        _check_manip_agreement(result, rng, inst, man.solve_savnsav_const_manipulators)
+        _check_manip_agreement(result, inst, man.solve_savnsav_const_manipulators)
 
     def fpt_av(result, rng):
         variant = rng.choice(["CBCM", "SBCM"])
         inst = random_manipulation_instance(rng, AV, variant, 5, 4, 3)
-        _check_manip_agreement(result, rng, inst, man.solve_manipulation_fpt_m_av)
+        _check_manip_agreement(result, inst, man.solve_manipulation_fpt_m_av)
 
     def fpt_additive(result, rng):
         rule = rng.choice([AV, SAV, NSAV])
         variant = rng.choice(["CBCM", "SBCM"])
         inst = random_manipulation_instance(rng, rule, variant, 4, 4, 2)
-        _check_manip_agreement(result, rng, inst, man.solve_manipulation_fpt_m_additive)
+        _check_manip_agreement(result, inst, man.solve_manipulation_fpt_m_additive)
 
     def fpt_sdcm(result, rng):
         rule = rng.choice([AV, SAV, NSAV])
         inst = random_manipulation_instance(rng, rule, "SDCM", 4, 4, 2)
-        _check_manip_agreement(result, rng, inst, man.solve_sdcm_fpt_m)
+        _check_manip_agreement(result, inst, man.solve_sdcm_fpt_m)
 
     def ccdv_mav(result, rng):
         inst = random_control_instance(rng, MAV, "CCDV", m_max=6, n_max=5)
-        _check_control_agreement(result, rng, inst, ctl.solve_ccdv_mav_poly)
+        _check_control_agreement(result, inst, ctl.solve_ccdv_mav_poly)
 
     def ccadv_additive(result, rng):
         rule = rng.choice([AV, SAV, NSAV])
         ctype = rng.choice(["CCAV", "CCDV", "CCADV"])
         inst = random_control_instance(rng, rule, ctype, m_max=5, n_max=5, u_max=4)
-        _check_control_agreement(result, rng, inst, ctl.solve_ccadv_additive_fpt)
+        _check_control_agreement(result, inst, ctl.solve_ccadv_additive_fpt)
 
     def ccadv_thiele(result, rng):
         rule = rng.choice([ABCCV, PAV])
         ctype = rng.choice(["CCAV", "CCDV", "CCADV"])
         inst = random_control_instance(rng, rule, ctype, m_max=4, n_max=4, u_max=3)
-        _check_control_agreement(result, rng, inst, ctl.solve_ccadv_thiele_fpt)
+        _check_control_agreement(result, inst, ctl.solve_ccadv_thiele_fpt)
 
     def ccav_mav(result, rng):
         inst = random_control_instance(rng, MAV, "CCAV", m_max=6, n_max=4, u_max=5)
-        _check_control_agreement(result, rng, inst, ctl.solve_ccav_mav_fpt)
+        _check_control_agreement(result, inst, ctl.solve_ccav_mav_fpt)
 
     def ccadc_colors(result, rng):
         rule = rng.choice([SAV, NSAV, ABCCV, PAV, MAV])
         ctype = rng.choice(["CCAC", "CCDC", "CCADC"])
         inst = random_control_instance(rng, rule, ctype, m_max=5, n_max=4, d_max=3)
-        _check_control_agreement(result, rng, inst, ctl.solve_ccadc_colorcoding)
+        _check_control_agreement(result, inst, ctl.solve_ccadc_colorcoding)
 
     def jcc_fptn(result, rng):
         election = random_election(rng, m_max=6, n_max=5, m_min=2, n_min=1)

@@ -20,6 +20,7 @@ from typing import Optional
 from abmv import core
 from abmv.caps import COMMITTEE_ENUMERATION_CAP, GUESS_CAP, effective_cap
 from abmv.core import (
+    DomainError,
     Election,
     ResourceCapError,
     Rule,
@@ -52,7 +53,8 @@ class JccInstance:
         if not 1 <= len(self.distinguished) <= self.k <= self.election.m:
             raise ValidationError("need 1 <= |J| <= k <= |C|")
         for c in self.distinguished:
-            self.election.index(c)
+            if c not in self.election.candidates:
+                raise DomainError(f"unknown candidate {c!r}")
 
 
 def _sorted_committees(position, committees) -> tuple:

@@ -232,6 +232,33 @@ def test_strict_and_rational_normalization():
     p = simple_program([([("x", Fraction(1, 3))], "<", 1)], [("x", 0, 9)])
     rows = ipcore._normalized(p)
     assert rows == [(((0, 1),), 2)]
+    # the row is stored scaled by 3, in ints: 1 == Fraction(1) would hide a Fraction
+    (con,) = p.constraints
+    assert (con.coeffs, con.rhs) == ((("x", 1),), 3)
+    assert all(type(c) is int for _, c in con.coeffs) and type(con.rhs) is int
+
+
+@pytest.mark.parametrize(
+    "constraints, bounds, message",
+    [
+        ([([("x", 1)], "==", 1)], [("x", 0, 1)], "unknown relation"),
+        ([([("y", 1)], "<=", 1)], [("x", 0, 1)], "unknown variable"),
+        ([], [("x", 0, 1), ("x", 0, 2)], "duplicate variable names"),
+    ],
+    ids=["relation", "undeclared-variable", "duplicate-variable"],
+)
+def test_malformed_programs_raise_value_error(constraints, bounds, message):
+    with pytest.raises(ValueError, match=message):
+        solve_ip(simple_program(constraints, bounds))
+
+
+def holds_as_drawn(constraints, assignment):
+    """The constraints as drawn, evaluated in `Fraction` arithmetic and so
+    independently of the integer rows the program stores."""
+    return all(
+        RELATION_HOLDS[rel](sum((Fraction(assignment[name]) * c for name, c in coeffs), Fraction(0)), rhs)
+        for coeffs, rel, rhs in constraints
+    )
 
 
 def test_matches_enumeration_on_random_programs():
@@ -254,7 +281,7 @@ def test_matches_enumeration_on_random_programs():
         feasible = [
             dict(zip(names, values))
             for values in product(*domains)
-            if check_solution(program, dict(zip(names, values)))
+            if holds_as_drawn(constraints, dict(zip(names, values)))
         ]
         assert result.feasible == bool(feasible)
         if result.feasible:
@@ -270,12 +297,6 @@ def test_deep_program_needs_no_recursion(monkeypatch):
     names = [p.add_variable(f"x{i}", 0, 1) for i in range(2000)]
     p.add_constraint([(x, 1) for x in names], "<=", 2000)
     assert solve_ip(p).status == ipcore.FEASIBLE
-
-
-def test_lp_export_mentions_everything():
-    p = simple_program([([("x", 1), ("y", -2)], ">", 3)], [("x", 0, 5), ("y", -1, 1)])
-    text = p.to_lp_text()
-    assert "x" in text and "y" in text and "Bounds" in text and "General" in text
 
 
 # draws past the first 1,200 that are YES for the two manipulation solvers

@@ -24,3 +24,27 @@ def test_every_traced_name_resolves():
         tracer.install()
     finally:
         tracer.uninstall()
+
+
+def test_solve_ip_spans_are_tagged_with_the_status():
+    """`feasible_share` counts the `solve_ip` spans tagged "feasible"."""
+    spans = load_spans()
+    for module_name in spans.TRACED:
+        importlib.import_module(f"abmv.{module_name}")
+    ipcore = importlib.import_module("abmv.ipcore")
+    programs = []
+    for bound in (1, 2):  # x in [0, 1]: x >= 2 is infeasible
+        program = ipcore.IntegerProgram()
+        program.add_variable("x", 0, 1)
+        program.add_constraint([("x", 1)], ">=", bound)
+        programs.append(program)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        with tracer.instance(0, "ip"):
+            for program in programs:
+                ipcore.solve_ip(program)
+    finally:
+        tracer.uninstall()
+    tags = [tag for name, _, _, _, _, tag in tracer.spans if name == "ipcore.solve_ip"]
+    assert tags == ["feasible", "infeasible"]

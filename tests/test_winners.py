@@ -86,11 +86,14 @@ class TestWinningCommittees:
         e = core.pad_with_dummies(base, 2000)
         ws = winning_committees(rule, e, 2, strategy="partition")
         assert core.additive_jcc(rule, e, 2, ["b"]) and not core.additive_jcc(rule, e, 2, ["a"])
+        assert j_cc(rule, JccInstance(e, 2, {"b"})) and not j_cc(rule, JccInstance(e, 2, {"a"}))
         assert "_index" not in e.__dict__ and "approver_sets" not in e.__dict__
         assert ws.committees == (("b", "c"),)
         assert ws.optimum == core.committee_score(rule, e, ("b", "c"))
         with pytest.raises(DomainError, match="unknown candidate"):
             core.additive_jcc(rule, e, 2, ["z"])
+        with pytest.raises(DomainError, match="unknown candidate"):
+            JccInstance(e, 2, {"z"})
 
     def test_partition_strategy_needs_additive(self, example1_full):
         with pytest.raises(UnsupportedRuleError):
