@@ -152,18 +152,14 @@ _CONTROL_ALGOS = {
 
 def _auto_control(instance) -> str:
     rule = instance.rule
-    if instance.ctype in ("CCAV", "CCDV", "CCADV"):
+    if instance.ctype in ctl.VOTER_TYPES:
         if rule.kind == "MAV":
-            if instance.ctype == "CCDV":
-                return "ccdv-mav-poly"
-            if instance.ctype == "CCAV":
-                return "ccav-mav-fpt"
-            return "bruteforce"
+            return {"CCDV": "ccdv-mav-poly", "CCAV": "ccav-mav-fpt"}.get(instance.ctype, "bruteforce")
         if rule.is_additive:
             return "additive-fpt"
-        if rule.is_thiele_family:
+        if rule.is_thiele_family and ctl.thiele_fpt_refusal(instance) is None:
             return "thiele-fpt"
-    if instance.ctype in ("CCAC", "CCDC", "CCADC"):
+    if instance.ctype in ctl.CANDIDATE_TYPES:
         return "color-coding"
     return "bruteforce"
 
@@ -218,10 +214,7 @@ def cmd_verify(args) -> int:
         runner = verification.SUITES[name]
         kwargs = {"seed": args.seed}
         if args.trials is not None:
-            if name == "agreement":
-                kwargs["trials_per_solver"] = args.trials
-            else:
-                kwargs["trials"] = args.trials
+            kwargs["trials"] = args.trials
         results.append(runner(**kwargs))
     obj = {
         "suites": [
@@ -288,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-control", help="decide an election control instance")
     add_common(p)
-    p.add_argument("--type", help="CCAV | CCDV | CCAC | CCDC | CCADV | CCADC | JCC")
+    p.add_argument("--type", help=" | ".join(ctl.CONTROL_TYPES))
     p.add_argument("--algo", default="auto", choices=["auto"] + sorted(_CONTROL_ALGOS))
     p.add_argument("--hash-mode", default="exhaustive", choices=["exhaustive", "randomized"])
     p.add_argument("--repetitions", type=int, default=1)

@@ -27,9 +27,20 @@ from abmv.core import (
     Verdict,
 )
 
-CONTROL_TYPES = ("CCAV", "CCDV", "CCAC", "CCDC", "CCADV", "CCADC", "JCC")
-_VOTER_TYPES = ("CCAV", "CCDV", "CCADV")
-_CANDIDATE_TYPES = ("CCAC", "CCDC", "CCADC")
+# control type -> (what it adds, what it deletes): "votes", "candidates" or
+# None; a ControlInstance has a budget for exactly the actions its type takes
+ACTIONS = {
+    "CCAV": ("votes", None),
+    "CCDV": (None, "votes"),
+    "CCAC": ("candidates", None),
+    "CCDC": (None, "candidates"),
+    "CCADV": ("votes", "votes"),
+    "CCADC": ("candidates", "candidates"),
+    "JCC": (None, None),
+}
+CONTROL_TYPES = tuple(ACTIONS)
+VOTER_TYPES = tuple(t for t, acts in ACTIONS.items() if "votes" in acts)
+CANDIDATE_TYPES = tuple(t for t, acts in ACTIONS.items() if "candidates" in acts)
 
 
 @dataclass(frozen=True)
@@ -45,31 +56,11 @@ class ControlInstance:
     budget_add: Optional[int] = None
     budget_delete: Optional[int] = None
 
-    def __init__(
-        self,
-        ctype,
-        rule,
-        registered_candidates,
-        registered_votes,
-        k,
-        distinguished,
-        unregistered_candidates=(),
-        unregistered_votes=(),
-        budget_add=None,
-        budget_delete=None,
-    ):
-        object.__setattr__(self, "ctype", ctype)
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "registered_candidates", tuple(registered_candidates))
-        object.__setattr__(self, "registered_votes", tuple(frozenset(v) for v in registered_votes))
-        object.__setattr__(self, "k", int(k))
-        object.__setattr__(self, "distinguished", frozenset(distinguished))
-        object.__setattr__(self, "unregistered_candidates", tuple(unregistered_candidates))
-        object.__setattr__(
-            self, "unregistered_votes", tuple(frozenset(v) for v in unregistered_votes)
+    def __post_init__(self):
+        core.coerce_fields(
+            self, registered_candidates=tuple, registered_votes=core.ballots, k=int,
+            distinguished=frozenset, unregistered_candidates=tuple, unregistered_votes=core.ballots,
         )
-        object.__setattr__(self, "budget_add", budget_add)
-        object.__setattr__(self, "budget_delete", budget_delete)
         self._validate()
 
     def _validate(self):
@@ -87,30 +78,29 @@ class ControlInstance:
         for i, v in enumerate(self.registered_votes + self.unregistered_votes):
             if not v <= pool:
                 raise ValidationError(f"vote {i} leaves the candidate pool")
-        if self.ctype in _VOTER_TYPES:
-            if D:
-                raise ValidationError("voter control takes no unregistered candidates")
-        if self.ctype in _CANDIDATE_TYPES and self.unregistered_votes:
+        if self.ctype in VOTER_TYPES and D:
+            raise ValidationError("voter control takes no unregistered candidates")
+        if self.ctype in CANDIDATE_TYPES and self.unregistered_votes:
             raise ValidationError("candidate control takes no unregistered votes")
-        needs_add = {"CCAV": "votes", "CCAC": "candidates", "CCADV": "votes", "CCADC": "candidates"}
-        needs_delete = {"CCDV", "CCDC", "CCADV", "CCADC"}
-        if self.ctype in needs_add:
-            if self.budget_add is None or self.budget_add < 0:
-                raise ValidationError(f"{self.ctype} needs a nonnegative addition budget")
-            available = len(self.unregistered_votes if needs_add[self.ctype] == "votes" else D)
-            if self.budget_add > available:
-                raise ValidationError("addition budget exceeds its pool")
-        if self.ctype in needs_delete:
-            if self.budget_delete is None or self.budget_delete < 0:
-                raise ValidationError(f"{self.ctype} needs a nonnegative deletion budget")
-            available = len(self.registered_votes) if self.ctype in _VOTER_TYPES else len(C)
-            if self.budget_delete > available:
-                raise ValidationError("deletion budget exceeds its pool")
+        adds, deletes = ACTIONS[self.ctype]
+        addable = {"votes": self.unregistered_votes, "candidates": D}
+        deletable = {"votes": self.registered_votes, "candidates": C}
+        for action, kind, budget, pools in (
+            ("addition", adds, self.budget_add, addable),
+            ("deletion", deletes, self.budget_delete, deletable),
+        ):
+            if kind is None:
+                if budget is not None:
+                    raise ValidationError(f"{self.ctype} takes no {action} budget")
+            elif budget is None or budget < 0:
+                raise ValidationError(f"{self.ctype} needs a nonnegative {action} budget")
+            elif budget > len(pools[kind]):
+                raise ValidationError(f"{action} budget exceeds its pool")
 
     @property
     def base_election(self) -> Election:
         """The election before any control action (restricted to registered candidates)."""
-        if self.ctype in _CANDIDATE_TYPES:
+        if self.ctype in CANDIDATE_TYPES:
             keep = set(self.registered_candidates)
             return Election(self.registered_candidates, [v & keep for v in self.registered_votes])
         return Election(self.registered_candidates, self.registered_votes)
@@ -143,14 +133,15 @@ def apply_control(instance: ControlInstance, solution: ControlSolution) -> Elect
     deleted_votes = tuple(solution.deleted_votes)
     added_cands = tuple(solution.added_candidates)
     deleted_cands = tuple(solution.deleted_candidates)
-    if added_votes and ctype not in ("CCAV", "CCADV"):
-        raise ValidationError(f"{ctype} cannot add votes")
-    if deleted_votes and ctype not in ("CCDV", "CCADV"):
-        raise ValidationError(f"{ctype} cannot delete votes")
-    if added_cands and ctype not in ("CCAC", "CCADC"):
-        raise ValidationError(f"{ctype} cannot add candidates")
-    if deleted_cands and ctype not in ("CCDC", "CCADC"):
-        raise ValidationError(f"{ctype} cannot delete candidates")
+    adds, deletes = ACTIONS[ctype]
+    for chosen, verb, kind, allowed in (
+        (added_votes, "add", "votes", adds),
+        (deleted_votes, "delete", "votes", deletes),
+        (added_cands, "add", "candidates", adds),
+        (deleted_cands, "delete", "candidates", deletes),
+    ):
+        if chosen and kind != allowed:
+            raise ValidationError(f"{ctype} cannot {verb} {kind}")
     if added_votes:
         if len(set(added_votes)) != len(added_votes) or not all(
             0 <= i < len(instance.unregistered_votes) for i in added_votes
@@ -181,7 +172,7 @@ def apply_control(instance: ControlInstance, solution: ControlSolution) -> Elect
             raise ValidationError("distinguished candidates cannot be deleted")
         if len(deleted_cands) > instance.budget_delete:
             raise ValidationError("deletion budget violated")
-    if ctype in _VOTER_TYPES or ctype == "JCC":
+    if ctype not in CANDIDATE_TYPES:
         dropped = set(deleted_votes)
         votes = [v for i, v in enumerate(instance.registered_votes) if i not in dropped]
         votes += [instance.unregistered_votes[i] for i in added_votes]
@@ -206,40 +197,31 @@ def control_succeeds(
 
 def _solution_stream(instance: ControlInstance, deletion_pool=None):
     """All budget-respecting solutions in increasing-cardinality order."""
-    ctype = instance.ctype
     la = instance.budget_add or 0
     ld = instance.budget_delete or 0
-    if ctype == "JCC":
-        yield EMPTY_SOLUTION
-        return
-    if ctype in ("CCAV", "CCDV", "CCADV"):
-        add_ids = range(len(instance.unregistered_votes))
-        del_ids = range(len(instance.registered_votes))
-        for total in range(la + ld + 1):
-            for ra in range(min(la, total), -1, -1):
-                rd = total - ra
-                if rd > ld:
-                    continue
-                for added in combinations(add_ids, ra):
-                    for deleted in combinations(del_ids, rd):
-                        yield ControlSolution(added_votes=added, deleted_votes=deleted)
-        return
-    election_order = instance.registered_candidates
-    if deletion_pool is None:
-        pool = [c for c in election_order if c not in instance.distinguished]
+    if instance.ctype in CANDIDATE_TYPES:
+        skipped = ((), ())  # the vote fields of ControlSolution
+        add_pool = instance.unregistered_candidates
+        roster = instance.registered_candidates
+        if deletion_pool is None:
+            del_pool = [c for c in roster if c not in instance.distinguished]
+        else:
+            del_pool = list(filter(set(deletion_pool).__contains__, roster))
+        # at least k candidates must remain
+        room = len(roster) - instance.k
     else:
-        pool = list(filter(set(deletion_pool).__contains__, election_order))
-    addable = instance.unregistered_candidates
+        skipped = ()
+        add_pool = range(len(instance.unregistered_votes))
+        del_pool = range(len(instance.registered_votes))
+        room = math.inf
     for total in range(la + ld + 1):
         for ra in range(min(la, total), -1, -1):
             rd = total - ra
-            if rd > ld:
+            if rd > ld or rd - ra > room:
                 continue
-            if len(instance.registered_candidates) - rd + ra < instance.k:
-                continue
-            for added in combinations(addable, ra):
-                for deleted in combinations(pool, rd):
-                    yield ControlSolution(added_candidates=added, deleted_candidates=deleted)
+            for added in combinations(add_pool, ra):
+                for deleted in combinations(del_pool, rd):
+                    yield ControlSolution(*skipped, added, deleted)
 
 
 class _AdditiveControlOracle:
@@ -509,7 +491,7 @@ def solve_ccadv_additive_fpt(instance: ControlInstance, cap: Optional[int] = Non
     add/delete counting program."""
     if not instance.rule.is_additive:
         raise UnsupportedRuleError("additive rules only")
-    if instance.ctype not in _VOTER_TYPES:
+    if instance.ctype not in VOTER_TYPES:
         raise UnsupportedRuleError("this solver handles voter control")
     election = instance.base_election
     k = instance.k
@@ -540,22 +522,35 @@ def solve_ccadv_additive_fpt(instance: ControlInstance, cap: Optional[int] = Non
 # Combined voter control for Thiele rules: guess the exact winning collection
 
 
+# collection guessing scores every k-committee in each of its programs
+COLLECTION_COMMITTEES = 40
+
+
+def thiele_fpt_refusal(instance: ControlInstance) -> Optional[str]:
+    """Why `solve_ccadv_thiele_fpt` refuses the instance up front, or None.
+
+    Its `cap` bounds each program's nodes; this bounds the guesses, one
+    per family of the committees that contain J."""
+    m, k, j = len(instance.registered_candidates), instance.k, len(instance.distinguished)
+    if math.comb(m, k) > COLLECTION_COMMITTEES:
+        return "committee space too large for collection guessing"
+    if 2 ** math.comb(m - j, k - j) > effective_cap(GUESS_CAP):
+        return "collection guess space exceeds the cap"
+    return None
+
+
 def solve_ccadv_thiele_fpt(instance: ControlInstance, cap: Optional[int] = None) -> Verdict:
     if not instance.rule.is_thiele_family:
         raise UnsupportedRuleError("Thiele-family rules only")
-    if instance.ctype not in _VOTER_TYPES:
+    if instance.ctype not in VOTER_TYPES:
         raise UnsupportedRuleError("this solver handles voter control")
+    if (refusal := thiele_fpt_refusal(instance)) is not None:
+        raise ResourceCapError(refusal)
     rule = instance.rule
     election = instance.base_election
     k = instance.k
-    roster = list(election.candidates)
-    if math.comb(election.m, k) > 40:
-        raise ResourceCapError("committee space too large for collection guessing")
-    all_committees = [frozenset(w) for w in combinations(roster, k)]
+    all_committees = [frozenset(w) for w in combinations(election.candidates, k)]
     with_j = [w for w in all_committees if instance.distinguished <= w]
-    # `cap` bounds each integer program's nodes, not the guesses
-    if 2 ** len(with_j) > effective_cap(GUESS_CAP):
-        raise ResourceCapError("collection guess space exceeds the cap")
 
     # one scale covers every ballot, and every row compares two committees
     ballots = election.votes + instance.unregistered_votes
@@ -703,7 +698,7 @@ def solve_ccadc_colorcoding(
     brute force; the randomized family gives a one-sided answer (YES is
     certain, NO may be wrong) and says so in the verdict details.
     """
-    if instance.ctype not in _CANDIDATE_TYPES:
+    if instance.ctype not in CANDIDATE_TYPES:
         raise UnsupportedRuleError("this solver handles candidate control")
     if instance.rule.kind not in ("SAV", "NSAV", "ABCCV", "PAV", "MAV", "THIELE", "AV"):
         raise UnsupportedRuleError(f"unsupported rule {instance.rule.kind}")

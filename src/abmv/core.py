@@ -54,6 +54,16 @@ def _as_ballot(members: Iterable[str]) -> frozenset:
     return members if isinstance(members, frozenset) else frozenset(members)
 
 
+def ballots(votes: Iterable[Iterable[str]]) -> tuple:
+    return tuple(map(frozenset, votes))
+
+
+def coerce_fields(instance, **convert) -> None:
+    """Normalize fields of a frozen dataclass from its `__post_init__`."""
+    for name, to in convert.items():
+        object.__setattr__(instance, name, to(getattr(instance, name)))
+
+
 @dataclass(frozen=True)
 class Election:
     """A candidate roster plus a multiset of approval ballots.

@@ -44,38 +44,17 @@ class ManipulationInstance:
     # optional per-manipulator private blocks for structured searches
     ballot_blocks: tuple = ()
 
-    def __init__(
-        self,
-        rule,
-        variant,
-        candidates,
-        honest_votes,
-        manipulative_votes,
-        k,
-        current_committee=None,
-        ballot_blocks=(),
-    ):
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "variant", variant)
-        object.__setattr__(self, "candidates", tuple(candidates))
-        object.__setattr__(self, "honest_votes", tuple(frozenset(v) for v in honest_votes))
-        object.__setattr__(
-            self, "manipulative_votes", tuple(frozenset(v) for v in manipulative_votes)
+    def __post_init__(self):
+        core.coerce_fields(
+            self, candidates=tuple, honest_votes=core.ballots, manipulative_votes=core.ballots, k=int,
+            current_committee=lambda w: None if w is None else frozenset(w),
+            ballot_blocks=lambda blocks: tuple(map(core.ballots, blocks)),
         )
-        object.__setattr__(self, "k", int(k))
-        object.__setattr__(
-            self,
-            "current_committee",
-            None if current_committee is None else frozenset(current_committee),
-        )
-        object.__setattr__(
-            self, "ballot_blocks", tuple(tuple(frozenset(b) for b in bs) for bs in ballot_blocks)
-        )
-        if variant not in VARIANTS:
-            raise ValidationError(f"unknown manipulation variant {variant!r}")
+        if self.variant not in VARIANTS:
+            raise ValidationError(f"unknown manipulation variant {self.variant!r}")
         if not self.manipulative_votes:
             raise ValidationError("need at least one manipulator")
-        if (self.current_committee is None) != (variant == "SDCM"):
+        if (self.current_committee is None) != (self.variant == "SDCM"):
             raise ValidationError("a current committee is required exactly when variant is not SDCM")
         if self.ballot_blocks and len(self.ballot_blocks) != len(self.manipulative_votes):
             raise ValidationError("ballot_blocks must align with the manipulators")
@@ -541,7 +520,8 @@ def solve_manipulation_bruteforce(
 def _manipulator_classes(instance: ManipulationInstance):
     """Candidates grouped by the exact set of manipulators approving them."""
     groups = {}
-    for c in sorted(instance.approved_union, key=instance.full_election.index):
+    union = instance.approved_union
+    for c in filter(union.__contains__, instance.candidates):
         key = frozenset(i for i, v in enumerate(instance.manipulative_votes) if c in v)
         groups.setdefault(key, []).append(c)
     return groups
@@ -619,10 +599,8 @@ def solve_manipulation_fpt_m_av(instance: ManipulationInstance, cap: Optional[in
     if m > 22:
         raise ResourceCapError(f"m={m} exceeds the 2^m enumeration bound")
     checker = _ProfileChecker(instance, cap)
-    election = instance.full_election
-    roster = sorted(instance.candidates, key=election.index)
     for r in range(0, instance.k + 1):
-        for combo in combinations(roster, r):
+        for combo in combinations(instance.candidates, r):
             profile = (frozenset(combo),) * instance.t
             if checker.accepts(profile):
                 if certify_manipulation(instance, profile):
@@ -696,7 +674,7 @@ def _reassignment_program(instance, swin, pwin):
     family = core.admitted_committees(swin, pwin, instance.k)
     outside = [
         frozenset(c)
-        for c in combinations(sorted(instance.candidates, key=election.index), instance.k)
+        for c in combinations(instance.candidates, instance.k)
         if not (frozenset(swin) <= frozenset(c) <= pool)
     ]
     anchor = committee_expr(family[0])

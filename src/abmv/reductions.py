@@ -86,10 +86,10 @@ class GraphInstance:
     edges: frozenset  # frozensets of size 2
     kappa: int
 
-    def __init__(self, vertices, edges, kappa):
-        object.__setattr__(self, "vertices", tuple(vertices))
-        object.__setattr__(self, "edges", frozenset(frozenset(e) for e in edges))
-        object.__setattr__(self, "kappa", int(kappa))
+    def __post_init__(self):
+        core.coerce_fields(
+            self, vertices=tuple, edges=lambda es: frozenset(map(frozenset, es)), kappa=int
+        )
         vs = set(self.vertices)
         if len(vs) != len(self.vertices):
             raise ValidationError("duplicate vertices")
@@ -114,9 +114,8 @@ class Rx3cInstance:
     universe: tuple
     sets: tuple  # tuples of 3 distinct elements; a multiset
 
-    def __init__(self, universe, sets):
-        object.__setattr__(self, "universe", tuple(universe))
-        object.__setattr__(self, "sets", tuple(tuple(s) for s in sets))
+    def __post_init__(self):
+        core.coerce_fields(self, universe=tuple, sets=lambda sets: tuple(map(tuple, sets)))
         elements = set(self.universe)
         if len(elements) != len(self.universe):
             raise ValidationError("duplicate universe elements")

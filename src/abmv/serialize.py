@@ -78,12 +78,13 @@ def load_control_instance(obj: dict, rule: Rule, ctype=None) -> ctl.ControlInsta
     budget_add = obj.get("budget_add")
     budget_delete = obj.get("budget_delete")
     if "budget" in obj:
-        if ctype in ("CCAV", "CCAC"):
-            budget_add = obj["budget"]
-        elif ctype in ("CCDV", "CCDC"):
-            budget_delete = obj["budget"]
-        else:
+        adds, deletes = ctl.ACTIONS.get(ctype, (None, None))
+        if (adds is None) == (deletes is None):
             raise ValidationError(f"{ctype} needs budget_add/budget_delete, not 'budget'")
+        if adds:
+            budget_add = obj["budget"]
+        else:
+            budget_delete = obj["budget"]
     return ctl.ControlInstance(
         ctype,
         rule,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from abmv import control as ctl
 from abmv import core, manipulation as man
@@ -187,27 +186,22 @@ def random_manipulation_instance(rng, rule, variant, m_max, n_max, t_max):
 
 
 def random_control_instance(rng, rule, ctype, m_max=5, n_max=5, u_max=4, d_max=3, b_max=2):
+    adds, deletes = ctl.ACTIONS.get(ctype, (None, None))
     m = rng.randint(2, m_max)
     C = [f"c{i}" for i in range(m)]
-    D = []
-    if ctype in ("CCAC", "CCADC"):
-        D = [f"d{i}" for i in range(rng.randint(1, d_max))]
+    D = [f"d{i}" for i in range(rng.randint(1, d_max))] if adds == "candidates" else []
     pool = C + D
     V = [frozenset(rng.sample(pool, rng.randint(0, len(pool)))) for _ in range(rng.randint(1, n_max))]
     U = []
-    if ctype in ("CCAV", "CCADV"):
+    if adds == "votes":
         U = [frozenset(rng.sample(C, rng.randint(0, m))) for _ in range(rng.randint(1, u_max))]
     k = rng.randint(1, m)
     J = frozenset(rng.sample(C, rng.randint(1, k)))
     ba = bd = None
-    if ctype in ("CCAV", "CCADV"):
-        ba = rng.randint(0, min(b_max, len(U)))
-    if ctype in ("CCAC", "CCADC"):
-        ba = rng.randint(0, min(b_max, len(D)))
-    if ctype in ("CCDV", "CCADV"):
-        bd = rng.randint(0, min(b_max, len(V)))
-    if ctype in ("CCDC", "CCADC"):
-        bd = rng.randint(0, min(b_max, m))
+    if adds:
+        ba = rng.randint(0, min(b_max, len(U if adds == "votes" else D)))
+    if deletes:
+        bd = rng.randint(0, min(b_max, len(V if deletes == "votes" else C)))
     return ctl.ControlInstance(ctype, rule, C, V, k, J, D, U, ba, bd)
 
 
@@ -284,13 +278,13 @@ def _agreement_trial_builders():
 
     def ccadv_additive(result, rng):
         rule = rng.choice([AV, SAV, NSAV])
-        ctype = rng.choice(["CCAV", "CCDV", "CCADV"])
+        ctype = rng.choice(ctl.VOTER_TYPES)
         inst = random_control_instance(rng, rule, ctype, m_max=5, n_max=5, u_max=4)
         _check_control_agreement(result, inst, ctl.solve_ccadv_additive_fpt)
 
     def ccadv_thiele(result, rng):
         rule = rng.choice([ABCCV, PAV])
-        ctype = rng.choice(["CCAV", "CCDV", "CCADV"])
+        ctype = rng.choice(ctl.VOTER_TYPES)
         inst = random_control_instance(rng, rule, ctype, m_max=4, n_max=4, u_max=3)
         _check_control_agreement(result, inst, ctl.solve_ccadv_thiele_fpt)
 
@@ -300,7 +294,7 @@ def _agreement_trial_builders():
 
     def ccadc_colors(result, rng):
         rule = rng.choice([SAV, NSAV, ABCCV, PAV, MAV])
-        ctype = rng.choice(["CCAC", "CCDC", "CCADC"])
+        ctype = rng.choice(ctl.CANDIDATE_TYPES)
         inst = random_control_instance(rng, rule, ctype, m_max=5, n_max=4, d_max=3)
         _check_control_agreement(result, inst, ctl.solve_ccadc_colorcoding)
 
@@ -333,16 +327,12 @@ def _agreement_trial_builders():
     }
 
 
-
-def run_agreement_suite(trials_per_solver: int = 100, seed: int = 4, solver: Optional[str] = None) -> SuiteResult:
-    """Every specialized solver against brute force on its domain."""
-    builders = _agreement_trial_builders()
-    if solver is not None:
-        builders = {solver: builders[solver]}
+def run_agreement_suite(trials: int = 100, seed: int = 4) -> SuiteResult:
+    """Every specialized solver against brute force on its domain, `trials` each."""
     result = SuiteResult("agreement")
-    for name, builder in sorted(builders.items()):
+    for name, builder in sorted(_agreement_trial_builders().items()):
         rng = random.Random(f"{seed}:{name}")
-        for _ in range(trials_per_solver):
+        for _ in range(trials):
             result.trials += 1
             try:
                 builder(result, rng)

@@ -139,7 +139,7 @@ def test_criterion_6_reduction_round_trips():
 
 def test_criterion_7_algorithm_oracle_agreement():
     start = time.time()
-    result = verification.run_agreement_suite(trials_per_solver=100, seed=4)
+    result = verification.run_agreement_suite(trials=100, seed=4)
     elapsed = time.time() - start
     report(
         "7 algorithm/oracle agreement",
@@ -158,7 +158,7 @@ def test_criterion_8_immunity_fuzz():
 
 def test_criterion_9_witness_certification():
     start = time.time()
-    result = verification.run_agreement_suite(trials_per_solver=40, seed=9)
+    result = verification.run_agreement_suite(trials=40, seed=9)
     ok = result.ok and result.yes_verdicts > 0 and result.certified == result.yes_verdicts
     elapsed = time.time() - start
     report(

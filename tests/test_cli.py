@@ -7,7 +7,7 @@ import pytest
 
 import abmv
 from abmv import cli, serialize, winners
-from abmv.core import SAV
+from abmv.core import SAV, ValidationError
 from abmv import manipulation as man, control as ctl
 
 # The directory holding the imported package. The child runs in a temporary
@@ -136,6 +136,24 @@ class TestSerialization:
         obj = serialize.manipulation_instance_to_obj(inst)
         again = serialize.load_manipulation_instance(obj, SAV)
         assert again == inst
+        # positional lists and sets normalize to tuples and frozensets
+        assert inst.candidates == tuple(cands)
+        assert inst.honest_votes == tuple(map(frozenset, honest))
+        assert inst.manipulative_votes == tuple(map(frozenset, manip))
+        assert inst.current_committee == frozenset({"x", "y"}) and inst.ballot_blocks == ()
+        blocks = [[{"x"}], [], [{"y"}, ["z"]]]
+        listed = man.ManipulationInstance(SAV, "CBCM", cands, honest, manip, 2.0, ["x", "y"], blocks)
+        frozen = man.ManipulationInstance(
+            SAV, "CBCM", tuple(cands), inst.honest_votes, inst.manipulative_votes, 2,
+            frozenset({"x", "y"}),
+            ((frozenset({"x"}),), (), (frozenset({"y"}), frozenset({"z"}))),
+        )
+        assert listed == frozen and hash(listed) == hash(frozen)
+        assert type(listed.k) is int and type(listed.current_committee) is frozenset
+        assert all(type(b) is frozenset for bs in listed.ballot_blocks for b in bs)
+        assert serialize.load_manipulation_instance(
+            serialize.manipulation_instance_to_obj(listed), SAV
+        ) == listed
 
     def test_control_round_trip(self):
         inst = ctl.ControlInstance(
@@ -144,12 +162,62 @@ class TestSerialization:
         )
         obj = serialize.control_instance_to_obj(inst)
         assert serialize.load_control_instance(obj, SAV) == inst
+        # positional lists and sets normalize to tuples and frozensets
+        listed = ctl.ControlInstance(
+            "CCADC", SAV, ["a", "b"], [["a"], {"b", "d"}], 2.0, ["a"], ["d"], [], 1, 1
+        )
+        frozen = ctl.ControlInstance(
+            "CCADC", SAV, ("a", "b"), (frozenset({"a"}), frozenset({"b", "d"})), 2,
+            frozenset({"a"}), ("d",), (), 1, 1,
+        )
+        assert listed == frozen and hash(listed) == hash(frozen)
+        assert type(listed.k) is int and type(listed.distinguished) is frozenset
+        assert type(listed.registered_candidates) is tuple
+        assert type(listed.unregistered_candidates) is tuple
+        assert all(type(v) is frozenset for v in listed.registered_votes)
+        assert serialize.load_control_instance(
+            serialize.control_instance_to_obj(listed), SAV
+        ) == listed
+
+    def test_source_positional_construction_normalizes(self):
+        from abmv import reductions as red
+
+        graph = red.GraphInstance(["u", "v", "w"], [["u", "v"], {"v", "w"}], 1.0)
+        assert graph == red.GraphInstance(
+            ("u", "v", "w"), frozenset({frozenset({"u", "v"}), frozenset({"v", "w"})}), 1
+        )
+        assert type(graph.vertices) is tuple and type(graph.kappa) is int
+        assert all(type(e) is frozenset for e in graph.edges)
+        rx3c = red.Rx3cInstance(["a", "b", "c"], [["a", "b", "c"]] * 3)
+        assert rx3c.universe == ("a", "b", "c") and rx3c.sets == (("a", "b", "c"),) * 3
+        assert serialize.load_source({"universe": ["a", "b", "c"], "sets": [["a", "b", "c"]] * 3}) == rx3c
+        assert hash(rx3c) == hash(red.Rx3cInstance(("a", "b", "c"), (("a", "b", "c"),) * 3))
 
     def test_budget_key_dispatch(self):
         obj = {"type": "CCDV", "candidates": ["a", "b"], "votes": [["a"]],
                "k": 1, "J": ["a"], "budget": 1}
         inst = serialize.load_control_instance(obj, SAV)
         assert inst.budget_delete == 1 and inst.budget_add is None
+
+    @pytest.mark.parametrize(
+        "ctype,field",
+        [("CCAV", "budget_add"), ("CCDV", "budget_delete"), ("CCAC", "budget_add"),
+         ("CCDC", "budget_delete"), ("CCADV", None), ("CCADC", None), ("JCC", None)],
+    )
+    def test_budget_key_for_every_type(self, ctype, field):
+        obj = {"type": ctype, "candidates": ["a", "b"], "votes": [["a"], ["b"]],
+               "k": 1, "J": ["a"], "budget": 1}
+        if ctype in ("CCAV", "CCADV", "JCC"):
+            obj["unregistered_votes"] = [["a"]]
+        if ctype in ("CCAC", "CCADC"):
+            obj["unregistered_candidates"] = ["c"]
+        if field is None:
+            with pytest.raises(ValidationError, match=f"^{ctype} needs budget_add/budget_delete, not 'budget'$"):
+                serialize.load_control_instance(obj, SAV)
+            return
+        inst = serialize.load_control_instance(obj, SAV)
+        other = "budget_delete" if field == "budget_add" else "budget_add"
+        assert getattr(inst, field) == 1 and getattr(inst, other) is None
 
     def test_fraction_strings(self):
         from fractions import Fraction
@@ -182,3 +250,34 @@ def test_verify_reductions_fifty_trials(tmp_path):
     proc = run_cli(["verify", "--suite", "reductions", "--trials", "50", "--seed", "1"], tmp_path)
     assert proc.returncode == 0
     assert "50 trials, ok" in proc.stdout
+
+
+# ten candidates give 120 committees of three, too many for collection guessing
+CCDV_TEN = {"type": "CCDV", "candidates": list("abcdefghij"),
+            "votes": [["a", "b"], ["c"], ["d", "e"], ["a"], ["f", "g"], ["h"], ["b", "c"], ["i", "j"]],
+            "k": 3, "J": ["a"], "budget_delete": 2}
+CCDV_FIVE = {"type": "CCDV", "candidates": list("abcde"),
+             "votes": [["a", "b"], ["c"], ["b", "c"], ["a", "d"], ["e"]],
+             "k": 2, "J": ["a"], "budget_delete": 1}
+
+
+@pytest.mark.parametrize(
+    "instance,node_cap,algorithm",
+    [
+        (CCDV_TEN, None, "bruteforce"),
+        (CCDV_FIVE, None, "thiele-fpt"),
+        # 2^4 collections of the committees holding a exceed a cap of 12
+        (CCDV_FIVE, "12", "bruteforce"),
+    ],
+)
+def test_auto_control_picks_thiele_fpt_only_when_it_accepts(
+    tmp_path, monkeypatch, capsys, instance, node_cap, algorithm
+):
+    monkeypatch.delenv("ABMV_NODE_CAP", raising=False)
+    if node_cap is not None:
+        monkeypatch.setenv("ABMV_NODE_CAP", node_cap)
+    (tmp_path / "inst.json").write_text(json.dumps(instance))
+    code = cli.main(["solve-control", "--rule", "pav", "--json", str(tmp_path / "inst.json")])
+    out = json.loads(capsys.readouterr().out)
+    assert code == cli.EXIT_YES
+    assert out["algorithm"] == algorithm and out["answer"] == "YES"

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -350,3 +351,185 @@ def test_thm7_construction_kappa1_is_yes(trivial_rx3c):
     brute = solve_control_bruteforce(inst)
     assert fpt.yes and brute.yes
     assert control_succeeds(inst, fpt.witness)
+
+
+# ---------------------------------------------------------------------------
+# What each control type may do, written out independently of control.ACTIONS
+
+ALLOWED = {
+    "CCAV": {"added_votes"},
+    "CCDV": {"deleted_votes"},
+    "CCAC": {"added_candidates"},
+    "CCDC": {"deleted_candidates"},
+    "CCADV": {"added_votes", "deleted_votes"},
+    "CCADC": {"added_candidates", "deleted_candidates"},
+    "JCC": set(),
+}
+VOTER = ("CCAV", "CCDV", "CCADV")
+CANDIDATE = ("CCAC", "CCDC", "CCADC")
+# solution field -> (a valid value, verb, kind)
+ACTION_FIELDS = {
+    "added_votes": ((0,), "add", "votes"),
+    "deleted_votes": ((1,), "delete", "votes"),
+    "added_candidates": (("d",), "add", "candidates"),
+    "deleted_candidates": (("b",), "delete", "candidates"),
+}
+# budget field -> (action word, solution fields it covers)
+BUDGETS = {
+    "budget_add": ("addition", {"added_votes", "added_candidates"}),
+    "budget_delete": ("deletion", {"deleted_votes", "deleted_candidates"}),
+}
+
+
+def typed_instance(ctype, **changes):
+    """Roster a, b, c with two votes, J = {a}, k = 1; one unregistered vote
+    and one unregistered candidate d wherever the type admits them, and a
+    budget of 1 for each action the type allows."""
+    fields = {
+        "unregistered_candidates": [] if ctype in VOTER else ["d"],
+        "unregistered_votes": [] if ctype in CANDIDATE else [{"c"}],
+    }
+    for budget, (_, covered) in BUDGETS.items():
+        fields[budget] = 1 if ALLOWED[ctype] & covered else None
+    fields.update(changes)
+    return ControlInstance(ctype, AV, ["a", "b", "c"], [{"a"}, {"b"}], 1, {"a"}, **fields)
+
+
+def test_control_types_are_the_table_order():
+    assert ctl.CONTROL_TYPES == tuple(ALLOWED)
+    assert ctl.VOTER_TYPES == VOTER and ctl.CANDIDATE_TYPES == CANDIDATE
+
+
+@pytest.mark.parametrize("field", list(ACTION_FIELDS))
+@pytest.mark.parametrize("ctype", list(ALLOWED))
+def test_apply_control_refuses_exactly_the_forbidden_actions(ctype, field):
+    value, verb, kind = ACTION_FIELDS[field]
+    inst = typed_instance(ctype)
+    solution = ControlSolution(**{field: value})
+    if field in ALLOWED[ctype]:
+        apply_control(inst, solution)
+    else:
+        with pytest.raises(ValidationError, match=f"^{ctype} cannot {verb} {kind}$"):
+            apply_control(inst, solution)
+
+
+@pytest.mark.parametrize("budget", list(BUDGETS))
+@pytest.mark.parametrize("ctype", list(ALLOWED))
+def test_budget_messages(ctype, budget):
+    action, covered = BUDGETS[budget]
+    if not ALLOWED[ctype] & covered:
+        typed_instance(ctype, **{budget: None})
+        return
+    for bad in (None, -1):
+        with pytest.raises(ValidationError, match=f"^{ctype} needs a nonnegative {action} budget$"):
+            typed_instance(ctype, **{budget: bad})
+    # the pools: one unregistered vote or candidate, two votes, three candidates
+    if budget == "budget_add":
+        pool = 1
+    else:
+        pool = 2 if ctype in VOTER else 3
+    typed_instance(ctype, **{budget: pool})
+    with pytest.raises(ValidationError, match=f"^{action} budget exceeds its pool$"):
+        typed_instance(ctype, **{budget: pool + 1})
+
+
+@pytest.mark.parametrize(
+    "ctype,budget",
+    [(t, b) for t in ALLOWED for b, (_, covered) in BUDGETS.items() if not ALLOWED[t] & covered],
+)
+def test_budgets_for_forbidden_actions_are_rejected(ctype, budget):
+    """Solvers may then read every budget as given (None as 0)."""
+    action, _ = BUDGETS[budget]
+    for stray in (0, 1):
+        with pytest.raises(ValidationError, match=f"^{ctype} takes no {action} budget$"):
+            typed_instance(ctype, **{budget: stray})
+
+
+@pytest.mark.parametrize("ctype", list(ALLOWED))
+def test_unregistered_pools_follow_the_type(ctype):
+    if ctype in VOTER:
+        with pytest.raises(ValidationError, match="^voter control takes no unregistered candidates$"):
+            typed_instance(ctype, unregistered_candidates=["d"])
+    else:
+        typed_instance(ctype, unregistered_candidates=["d"])
+    if ctype in CANDIDATE:
+        with pytest.raises(ValidationError, match="^candidate control takes no unregistered votes$"):
+            typed_instance(ctype, unregistered_votes=[{"c"}])
+    else:
+        typed_instance(ctype, unregistered_votes=[{"c"}])
+
+
+def reference_solution_stream(instance, deletion_pool=None):
+    """The enumeration order brute force has always used; it returns the
+    first certified solution, so the order decides the witness."""
+    ctype = instance.ctype
+    la = instance.budget_add or 0
+    ld = instance.budget_delete or 0
+    if ctype == "JCC":
+        yield EMPTY_SOLUTION
+        return
+    if ctype in ("CCAV", "CCDV", "CCADV"):
+        add_ids = range(len(instance.unregistered_votes))
+        del_ids = range(len(instance.registered_votes))
+        for total in range(la + ld + 1):
+            for ra in range(min(la, total), -1, -1):
+                rd = total - ra
+                if rd > ld:
+                    continue
+                for added in combinations(add_ids, ra):
+                    for deleted in combinations(del_ids, rd):
+                        yield ControlSolution(added_votes=added, deleted_votes=deleted)
+        return
+    election_order = instance.registered_candidates
+    if deletion_pool is None:
+        pool = [c for c in election_order if c not in instance.distinguished]
+    else:
+        pool = list(filter(set(deletion_pool).__contains__, election_order))
+    addable = instance.unregistered_candidates
+    for total in range(la + ld + 1):
+        for ra in range(min(la, total), -1, -1):
+            rd = total - ra
+            if rd > ld:
+                continue
+            if len(instance.registered_candidates) - rd + ra < instance.k:
+                continue
+            for added in combinations(addable, ra):
+                for deleted in combinations(pool, rd):
+                    yield ControlSolution(added_candidates=added, deleted_candidates=deleted)
+
+
+@st.composite
+def typed_control_instances(draw):
+    """Control instances of all seven types, budgets only where the type acts."""
+    ctype = draw(st.sampled_from(list(ALLOWED)))
+    m = draw(st.integers(1, 5))
+    registered = [f"c{i}" for i in range(m)]
+    unregistered = [] if ctype in VOTER else [f"d{i}" for i in range(draw(st.integers(0, 3)))]
+    ballot = st.frozensets(st.sampled_from(registered + unregistered))
+    votes = draw(st.lists(ballot, max_size=4))
+    extra = [] if ctype in CANDIDATE else draw(st.lists(ballot, max_size=3))
+    k = draw(st.integers(1, m))
+    wanted = draw(st.sets(st.sampled_from(registered), min_size=1, max_size=k))
+    adds = len(unregistered) if ctype in CANDIDATE else len(extra)
+    deletes = len(registered) if ctype in CANDIDATE else len(votes)
+    allowed = ALLOWED[ctype]
+    budget_add = draw(st.integers(0, min(adds, 3))) if allowed & BUDGETS["budget_add"][1] else None
+    budget_delete = (
+        draw(st.integers(0, min(deletes, 3))) if allowed & BUDGETS["budget_delete"][1] else None
+    )
+    instance = ControlInstance(
+        ctype, AV, registered, votes, k, wanted,
+        unregistered_candidates=unregistered, unregistered_votes=extra,
+        budget_add=budget_add, budget_delete=budget_delete,
+    )
+    deletion_pool = draw(st.none() | st.lists(st.sampled_from(registered), unique=True))
+    return instance, deletion_pool
+
+
+@settings(max_examples=400, deadline=None)
+@given(typed_control_instances())
+def test_solution_stream_keeps_the_reference_order(drawn):
+    instance, deletion_pool = drawn
+    expected = list(reference_solution_stream(instance, deletion_pool))
+    assert list(ctl._solution_stream(instance, deletion_pool)) == expected
+    assert list(ctl._solution_stream(instance)) == list(reference_solution_stream(instance))

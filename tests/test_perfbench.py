@@ -2,14 +2,18 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_spans():
+    return load_perfbench("spans")
 
 
 def test_every_traced_name_resolves():
@@ -24,6 +28,18 @@ def test_every_traced_name_resolves():
         tracer.install()
     finally:
         tracer.uninstall()
+
+
+def test_every_agreement_solver_resolves():
+    """The agreement workload calls its specialised solvers by name."""
+    workloads = load_perfbench("workloads")
+    modules = {"manipulation": "abmv.manipulation", "control": "abmv.control"}
+    for family, (problem, _, solver) in workloads.FAMILIES.items():
+        if problem == "jcc":
+            assert solver is None, family
+            continue
+        module = importlib.import_module(modules[problem])
+        assert callable(getattr(module, solver, None)), f"{family}: {modules[problem]}.{solver}"
 
 
 def test_solve_ip_spans_are_tagged_with_the_status():
