@@ -16,6 +16,7 @@ from abmv.core import (
     Election,
     Rule,
     ThresholdPartition,
+    Verdict,
     additive_candidate_score,
     committee_score,
     hamming_distance,
@@ -26,6 +27,36 @@ from abmv.core import (
     thiele,
 )
 from abmv.winners import JccInstance, WinningSet, j_cc, mav_single_winners, winning_committees
+from abmv import control, manipulation
+
+
+def solve(instance, algo: str = "auto", **options) -> tuple:
+    """(algorithm, verdict) for a manipulation or control instance.
+
+    `algo` names an entry of the instance's table, `manipulation.ALGORITHMS`
+    or `control.ALGORITHMS`; "auto" takes the table's `auto_algorithm`.
+    Each solver gets only the `options` it names. Every YES witness is
+    certified independently of the search; a failed certification raises
+    `AssertionError`. A JCC control instance takes no action, so whatever
+    `algo` says, it is J-CC on the registered election, reported as "jcc".
+    """
+    if isinstance(instance, manipulation.ManipulationInstance):
+        module, certify = manipulation, manipulation.certify_manipulation
+    elif instance.ctype == "JCC":
+        jcc = JccInstance(instance.base_election, instance.k, instance.distinguished)
+        return "jcc", Verdict(j_cc(instance.rule, jcc))
+    else:
+        module, certify = control, control.control_succeeds
+    if algo == "auto":
+        algo = module.auto_algorithm(instance)
+    if algo not in module.ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algo!r}, expected one of {sorted(module.ALGORITHMS)}")
+    solver, takes = module.ALGORITHMS[algo]
+    verdict = solver(instance, **{name: options[name] for name in takes if name in options})
+    if verdict.yes and not certify(instance, verdict.witness):
+        raise AssertionError("witness failed certification")
+    return algo, verdict
+
 
 __all__ = [
     "AV",
@@ -48,6 +79,7 @@ __all__ = [
     "pad_with_dummies",
     "partition_candidates",
     "restrict",
+    "solve",
     "thiele",
     "winning_committees",
 ]

@@ -15,6 +15,7 @@ import json
 import sys
 from fractions import Fraction
 
+import abmv
 from abmv import control as ctl
 from abmv import core, manipulation as man
 from abmv import reductions as red
@@ -93,97 +94,23 @@ def cmd_jcc(args) -> int:
     return EXIT_YES if answer else EXIT_NO
 
 
-_MANIP_ALGOS = {
-    "bruteforce": lambda inst, args: man.solve_manipulation_bruteforce(
-        inst, profile_mode=args.mode, pool=args.pool
-    ),
-    "const-manipulators": lambda inst, args: (
-        man.solve_av_const_manipulators(inst)
-        if inst.rule.kind == "AV"
-        else man.solve_savnsav_const_manipulators(inst)
-    ),
-    "av-fpt-candidates": lambda inst, args: man.solve_manipulation_fpt_m_av(inst),
-    "additive-fpt-candidates": lambda inst, args: man.solve_manipulation_fpt_m_additive(inst),
-    "sdcm-fpt-candidates": lambda inst, args: man.solve_sdcm_fpt_m(inst),
-}
-
-
-def _auto_manip(instance, args):
-    rule = instance.rule
-    if instance.variant in ("CBCM", "SBCM"):
-        if rule.is_additive and instance.t <= 3:
-            return "const-manipulators"
-        if rule.is_additive and len(instance.candidates) <= 8:
-            return "additive-fpt-candidates"
-    if instance.variant == "SDCM" and rule.is_additive and len(instance.candidates) <= 8:
-        return "sdcm-fpt-candidates"
-    return "bruteforce"
-
-
-def cmd_solve_manip(args) -> int:
+def cmd_solve(args) -> int:
     rule = _rule_from_args(args)
-    instance = serialize.load_manipulation_instance(_read_json(args.input), rule, args.variant)
-    algo = args.algo
-    if algo == "auto":
-        algo = _auto_manip(instance, args)
-    verdict = _MANIP_ALGOS[algo](instance, args)
-    if verdict.yes and not man.certify_manipulation(instance, verdict.witness):
-        raise AssertionError("witness failed certification")
-    obj = serialize.verdict_to_obj(verdict)
-    obj["algorithm"] = algo
+    data = _read_json(args.input)
+    if args.command == "solve-manip":
+        instance = serialize.load_manipulation_instance(data, rule, args.variant)
+        options = {"profile_mode": args.profile_mode, "pool": args.pool}
+    else:
+        instance = serialize.load_control_instance(data, rule, args.type)
+        options = {"hash_mode": args.hash_mode, "seed": args.seed, "repetitions": args.repetitions}
+    algo, verdict = abmv.solve(instance, args.algo, **options)
     lines = ["YES" if verdict.yes else "NO"]
-    if verdict.yes:
+    obj = {"answer": lines[0]}
+    if algo != "jcc":  # a JCC file is a plain J-CC decision: no algorithm choice, no witness
+        obj = {**serialize.verdict_to_obj(verdict), "algorithm": algo}
+    if verdict.yes and args.command == "solve-manip":
         lines.append("profile: " + " | ".join(",".join(sorted(b)) or "-" for b in verdict.witness))
-    _emit(args, obj, lines)
-    return EXIT_YES if verdict.yes else EXIT_NO
-
-
-_CONTROL_ALGOS = {
-    "bruteforce": lambda inst, args: ctl.solve_control_bruteforce(inst),
-    "ccdv-mav-poly": lambda inst, args: ctl.solve_ccdv_mav_poly(inst),
-    "additive-fpt": lambda inst, args: ctl.solve_ccadv_additive_fpt(inst),
-    "thiele-fpt": lambda inst, args: ctl.solve_ccadv_thiele_fpt(inst),
-    "ccav-mav-fpt": lambda inst, args: ctl.solve_ccav_mav_fpt(inst),
-    "color-coding": lambda inst, args: ctl.solve_ccadc_colorcoding(
-        inst, hash_mode=args.hash_mode, seed=args.seed or 0, repetitions=args.repetitions
-    ),
-}
-
-
-def _auto_control(instance) -> str:
-    rule = instance.rule
-    if instance.ctype in ctl.VOTER_TYPES:
-        if rule.kind == "MAV":
-            return {"CCDV": "ccdv-mav-poly", "CCAV": "ccav-mav-fpt"}.get(instance.ctype, "bruteforce")
-        if rule.is_additive:
-            return "additive-fpt"
-        if rule.is_thiele_family and ctl.thiele_fpt_refusal(instance) is None:
-            return "thiele-fpt"
-    if instance.ctype in ctl.CANDIDATE_TYPES:
-        return "color-coding"
-    return "bruteforce"
-
-
-def cmd_solve_control(args) -> int:
-    rule = _rule_from_args(args)
-    instance = serialize.load_control_instance(_read_json(args.input), rule, args.type)
-    if instance.ctype == "JCC":
-        answer = winners.j_cc(
-            rule,
-            winners.JccInstance(instance.base_election, instance.k, instance.distinguished),
-        )
-        _emit(args, {"answer": "YES" if answer else "NO"}, ["YES" if answer else "NO"])
-        return EXIT_YES if answer else EXIT_NO
-    algo = args.algo
-    if algo == "auto":
-        algo = _auto_control(instance)
-    verdict = _CONTROL_ALGOS[algo](instance, args)
-    if verdict.yes and not ctl.control_succeeds(instance, verdict.witness):
-        raise AssertionError("witness failed certification")
-    obj = serialize.verdict_to_obj(verdict)
-    obj["algorithm"] = algo
-    lines = ["YES" if verdict.yes else "NO"]
-    if verdict.yes:
+    elif verdict.witness is not None:
         lines.append(json.dumps(serialize.witness_to_obj(verdict.witness), sort_keys=True))
     _emit(args, obj, lines)
     return EXIT_YES if verdict.yes else EXIT_NO
@@ -273,21 +200,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-manip", help="decide a coalition manipulation instance")
     add_common(p)
     p.add_argument("--variant", choices=["cbcm", "sbcm", "sdcm", "CBCM", "SBCM", "SDCM"])
-    p.add_argument("--algo", default="auto", choices=["auto"] + sorted(_MANIP_ALGOS))
-    p.add_argument("--mode", default="split", choices=["split", "common"])
+    p.add_argument("--algo", default="auto", choices=["auto"] + sorted(man.ALGORITHMS))
+    p.add_argument("--mode", dest="profile_mode", default="split", choices=["split", "common"])
     p.add_argument("--pool", default="auto", choices=["auto", "with_committee", "unrestricted"])
     p.add_argument("input")
-    p.set_defaults(func=cmd_solve_manip)
+    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("solve-control", help="decide an election control instance")
     add_common(p)
     p.add_argument("--type", help=" | ".join(ctl.CONTROL_TYPES))
-    p.add_argument("--algo", default="auto", choices=["auto"] + sorted(_CONTROL_ALGOS))
+    p.add_argument("--algo", default="auto", choices=["auto"] + sorted(ctl.ALGORITHMS))
     p.add_argument("--hash-mode", default="exhaustive", choices=["exhaustive", "randomized"])
     p.add_argument("--repetitions", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("input")
-    p.set_defaults(func=cmd_solve_control)
+    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("gen", help="generate a hardness-construction instance")
     p.add_argument("--kind", required=True, choices=sorted(red.REDUCTION_KINDS))

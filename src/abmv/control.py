@@ -113,15 +113,6 @@ class ControlSolution:
     added_candidates: tuple = ()
     deleted_candidates: tuple = ()
 
-    @property
-    def size(self) -> int:
-        return (
-            len(self.added_votes)
-            + len(self.deleted_votes)
-            + len(self.added_candidates)
-            + len(self.deleted_candidates)
-        )
-
 
 EMPTY_SOLUTION = ControlSolution()
 
@@ -129,49 +120,31 @@ EMPTY_SOLUTION = ControlSolution()
 def apply_control(instance: ControlInstance, solution: ControlSolution) -> Election:
     """The election after performing a control action; validates budgets."""
     ctype = instance.ctype
-    added_votes = tuple(solution.added_votes)
-    deleted_votes = tuple(solution.deleted_votes)
-    added_cands = tuple(solution.added_candidates)
-    deleted_cands = tuple(solution.deleted_candidates)
+    added_votes, deleted_votes, added_cands, deleted_cands = picks = (
+        tuple(solution.added_votes),
+        tuple(solution.deleted_votes),
+        tuple(solution.added_candidates),
+        tuple(solution.deleted_candidates),
+    )
     adds, deletes = ACTIONS[ctype]
-    for chosen, verb, kind, allowed in (
-        (added_votes, "add", "votes", adds),
-        (deleted_votes, "delete", "votes", deletes),
-        (added_cands, "add", "candidates", adds),
-        (deleted_cands, "delete", "candidates", deletes),
-    ):
+    checks = (
+        ("add", "votes", adds, range(len(instance.unregistered_votes)), "bad unregistered vote indices"),
+        ("delete", "votes", deletes, range(len(instance.registered_votes)), "bad registered vote indices"),
+        ("add", "candidates", adds, instance.unregistered_candidates, "bad unregistered candidates"),
+        ("delete", "candidates", deletes, instance.registered_candidates, "bad deleted candidates"),
+    )
+    for chosen, (verb, kind, allowed, _, _) in zip(picks, checks):
         if chosen and kind != allowed:
             raise ValidationError(f"{ctype} cannot {verb} {kind}")
-    if added_votes:
-        if len(set(added_votes)) != len(added_votes) or not all(
-            0 <= i < len(instance.unregistered_votes) for i in added_votes
-        ):
-            raise ValidationError("bad unregistered vote indices")
-        if len(added_votes) > instance.budget_add:
-            raise ValidationError("addition budget violated")
-    if deleted_votes:
-        if len(set(deleted_votes)) != len(deleted_votes) or not all(
-            0 <= i < len(instance.registered_votes) for i in deleted_votes
-        ):
-            raise ValidationError("bad registered vote indices")
-        if len(deleted_votes) > instance.budget_delete:
-            raise ValidationError("deletion budget violated")
-    if added_cands:
-        if len(set(added_cands)) != len(added_cands) or not set(added_cands) <= set(
-            instance.unregistered_candidates
-        ):
-            raise ValidationError("bad unregistered candidates")
-        if len(added_cands) > instance.budget_add:
-            raise ValidationError("addition budget violated")
-    if deleted_cands:
-        if len(set(deleted_cands)) != len(deleted_cands) or not set(deleted_cands) <= set(
-            instance.registered_candidates
-        ):
-            raise ValidationError("bad deleted candidates")
-        if set(deleted_cands) & instance.distinguished:
+    for chosen, (verb, kind, _, pool, bad) in zip(picks, checks):
+        if not chosen:
+            continue
+        if len(set(chosen)) != len(chosen) or not all(map(pool.__contains__, chosen)):
+            raise ValidationError(bad)
+        if (verb, kind) == ("delete", "candidates") and not instance.distinguished.isdisjoint(chosen):
             raise ValidationError("distinguished candidates cannot be deleted")
-        if len(deleted_cands) > instance.budget_delete:
-            raise ValidationError("deletion budget violated")
+        if len(chosen) > (instance.budget_add if verb == "add" else instance.budget_delete):
+            raise ValidationError(("addition" if verb == "add" else "deletion") + " budget violated")
     if ctype not in CANDIDATE_TYPES:
         dropped = set(deleted_votes)
         votes = [v for i, v in enumerate(instance.registered_votes) if i not in dropped]
@@ -765,3 +738,35 @@ def _color_class_representatives(pool, coloring, classes, approvers):
             seen.setdefault(approvers[c], c)
         reps.append(sorted(seen.values()))
     return reps
+
+
+# ---------------------------------------------------------------------------
+# Algorithm selection
+
+
+# algorithm name -> (solver, the keyword options it takes besides the instance)
+ALGORITHMS = {
+    "bruteforce": (solve_control_bruteforce, ()),
+    "ccdv-mav-poly": (solve_ccdv_mav_poly, ()),
+    "additive-fpt": (solve_ccadv_additive_fpt, ()),
+    "thiele-fpt": (solve_ccadv_thiele_fpt, ()),
+    "ccav-mav-fpt": (solve_ccav_mav_fpt, ()),
+    "color-coding": (solve_ccadc_colorcoding, ("hash_mode", "seed", "repetitions")),
+}
+
+
+def auto_algorithm(instance: ControlInstance) -> str:
+    """The entry of `ALGORITHMS` that `auto` runs: a specialised solver whose
+    domain covers the instance (`thiele-fpt` only when `thiele_fpt_refusal`
+    finds no reason to refuse it), else brute force."""
+    rule = instance.rule
+    if instance.ctype in VOTER_TYPES:
+        if rule.kind == "MAV":
+            return {"CCDV": "ccdv-mav-poly", "CCAV": "ccav-mav-fpt"}.get(instance.ctype, "bruteforce")
+        if rule.is_additive:
+            return "additive-fpt"
+        if rule.is_thiele_family and thiele_fpt_refusal(instance) is None:
+            return "thiele-fpt"
+    if instance.ctype in CANDIDATE_TYPES:
+        return "color-coding"
+    return "bruteforce"

@@ -47,9 +47,6 @@ class ValidationError(ValueError):
     """An instance or solution violates its problem-type invariants."""
 
 
-Ballot = frozenset
-
-
 def _as_ballot(members: Iterable[str]) -> frozenset:
     return members if isinstance(members, frozenset) else frozenset(members)
 
@@ -181,7 +178,6 @@ def pad_with_dummies(election: Election, count: int, prefix: str = "~dummy") -> 
 
 
 _ADDITIVE = ("AV", "SAV", "NSAV")
-_THIELE_BUILTIN = ("AV", "PAV", "ABCCV")
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from typing import Iterable, Optional, Sequence
 from abmv import core, winners
 from abmv.caps import GUESS_CAP, MANIPULATOR_CAP, PROFILE_CAP, effective_cap
 from abmv.core import (
+    DomainError,
     Election,
     ResourceCapError,
     Rule,
@@ -194,19 +195,16 @@ def _refined_classes(election: Election, references: Sequence[frozenset]):
     """Clone classes refined so each reference set is a union of classes.
 
     Returns (class_members, in_reference): class_members lists
-    roster-ordered member tuples whose members share an approver set;
-    in_reference[r] is the set of classes inside reference r.
+    roster-ordered member tuples whose members share an approver set,
+    in the roster order of their first members; in_reference[r] is the set
+    of classes inside reference r.
     """
     keys = {}
     for c in election.candidates:
         key = (election.approver_sets[c],) + tuple(c in r for r in references)
         keys.setdefault(key, []).append(c)
-    ordered = sorted(keys.items(), key=lambda kv: election.index(kv[1][0]))
-    in_ref = []
-    for r_i in range(len(references)):
-        in_ref.append(frozenset(g for g, (key, _) in enumerate(ordered) if key[1 + r_i]))
-    members = [tuple(m) for _, m in ordered]
-    return members, in_ref
+    in_ref = [frozenset(g for g, key in enumerate(keys) if key[1 + r]) for r in range(len(references))]
+    return [tuple(m) for m in keys.values()], in_ref
 
 
 def _vector_overlap(vector, class_set) -> int:
@@ -408,18 +406,16 @@ def certify_manipulation(instance: ManipulationInstance, profile: Sequence[froze
 # Brute force
 
 
-def _sorted_ballots(election: Election, pool) -> list:
-    subsets = []
-    pool = sorted(pool, key=election.index)
-    for r in range(len(pool) + 1):
-        for combo in combinations(pool, r):
-            subsets.append(frozenset(combo))
-    return subsets
+def _sorted_ballots(candidates: Sequence[str], pool: frozenset) -> list:
+    """Every subset of `pool` by size, each drawn in roster order."""
+    ordered = list(filter(pool.__contains__, candidates))
+    if len(ordered) != len(pool):
+        raise DomainError(f"unknown candidates {sorted(pool.difference(ordered))}")
+    return [frozenset(combo) for r in range(len(ordered) + 1) for combo in combinations(ordered, r)]
 
 
 def _ballot_options(instance: ManipulationInstance, pool_kind: str, pool_override):
     """Per-manipulator candidate ballot lists (base pool plus private blocks)."""
-    election = instance.full_election
     if pool_override is not None:
         base_pool = frozenset(pool_override)
     elif pool_kind == "unrestricted":
@@ -437,7 +433,7 @@ def _ballot_options(instance: ManipulationInstance, pool_kind: str, pool_overrid
             base_pool = frozenset(instance.candidates)
     else:
         raise ValueError(f"unknown pool {pool_kind!r}")
-    bases = _sorted_ballots(election, base_pool)
+    bases = _sorted_ballots(instance.candidates, base_pool)
     per_manipulator = []
     for i in range(instance.t):
         blocks = instance.ballot_blocks[i] if instance.ballot_blocks else ()
@@ -639,13 +635,12 @@ def _score_partitions(candidates, k):
 def _reassignment_program(instance, swin, pwin):
     """Variables count manipulators moving from each truthful ballot to each
     new ballot; constraints pin the guessed winning collection exactly."""
-    election = instance.full_election
     truthful = {}
     for v in instance.manipulative_votes:
         truthful[v] = truthful.get(v, 0) + 1
     # recast ballots stay inside the truthfully approved pool; feasible
     # solutions outside it can always be normalized into it
-    targets = _sorted_ballots(election, instance.approved_union)
+    targets = _sorted_ballots(instance.candidates, instance.approved_union)
     # one scale covers every ballot; the NSAV penalty the weights leave out
     # cancels, because every row compares two k-committees
     sizes = [len(v) for v in instance.honest_votes + tuple(targets)]
@@ -977,3 +972,38 @@ def _aggregate_classes(instance, mode, group_keys, tables, out_gt, out_eq, old_o
         return None
 
     return walk(0, 0, 0, [0] * t, [0] * t)
+
+
+# ---------------------------------------------------------------------------
+# Algorithm selection
+
+
+def solve_const_manipulators(instance: ManipulationInstance, cap: Optional[int] = None) -> Verdict:
+    """The constant-manipulator algorithm of the rule: AV's, or SAV/NSAV's."""
+    if instance.rule.kind == "AV":
+        return solve_av_const_manipulators(instance, cap)
+    return solve_savnsav_const_manipulators(instance, cap)
+
+
+# algorithm name -> (solver, the keyword options it takes besides the instance)
+ALGORITHMS = {
+    "bruteforce": (solve_manipulation_bruteforce, ("profile_mode", "pool")),
+    "const-manipulators": (solve_const_manipulators, ()),
+    "av-fpt-candidates": (solve_manipulation_fpt_m_av, ()),
+    "additive-fpt-candidates": (solve_manipulation_fpt_m_additive, ()),
+    "sdcm-fpt-candidates": (solve_sdcm_fpt_m, ()),
+}
+
+
+def auto_algorithm(instance: ManipulationInstance) -> str:
+    """The entry of `ALGORITHMS` that `auto` runs: a specialised solver
+    whose domain covers the instance, else brute force."""
+    rule = instance.rule
+    if instance.variant in ("CBCM", "SBCM"):
+        if rule.is_additive and instance.t <= 3:
+            return "const-manipulators"
+        if rule.is_additive and len(instance.candidates) <= 8:
+            return "additive-fpt-candidates"
+    if instance.variant == "SDCM" and rule.is_additive and len(instance.candidates) <= 8:
+        return "sdcm-fpt-candidates"
+    return "bruteforce"

@@ -238,6 +238,14 @@ def _require(condition: bool, message: str):
         raise GenerationError(message)
 
 
+def _nsav_padded(rule: Rule, candidates: list, n: int, m: int, extra: int = 0) -> list:
+    """The roster plus, under NSAV, n·m² + extra never-approved `~pad` dummies:
+    enough that NSAV orders the other candidates as SAV does."""
+    if rule.kind != "NSAV":
+        return candidates
+    return candidates + [f"{DUMMY_PREFIX}{i}" for i in range(n * m * m + extra)]
+
+
 def _manip_vc_common(graph: GraphInstance, kappa: int):
     _require(graph.is_regular(3), "the manipulation constructions need a 3-regular graph")
     _require(1 <= kappa <= len(graph.vertices), "kappa must address the vertex set")
@@ -270,11 +278,7 @@ def generate_manip_sav_vc(
     )
     candidates = list(graph.vertices) + fillers
     honest = [frozenset(fillers)] * (edge_count - 1)
-    if rule.kind == "NSAV":
-        n_votes = len(honest) + len(manip)
-        m = len(candidates)
-        pad = n_votes * m * m
-        candidates = candidates + [f"{DUMMY_PREFIX}{i}" for i in range(pad)]
+    candidates = _nsav_padded(rule, candidates, len(honest) + len(manip), len(candidates))
     committee = None if variant == "SDCM" else frozenset(fillers)
     return man.ManipulationInstance(rule, variant, candidates, honest, manip, graph.kappa, committee)
 
@@ -329,10 +333,7 @@ def generate_ccav_sav_rx3c(source: Rx3cInstance, rule: Rule = SAV) -> ctl.Contro
     candidates = list(source.universe) + ["p"]
     registered = [frozenset(source.universe)] * (3 * kappa * (kappa - 2) // 4)
     unregistered = [frozenset(("p",) + s) for s in source.sets]
-    if rule.kind == "NSAV":
-        n_votes = len(registered) + len(unregistered)
-        m = len(candidates)
-        candidates += [f"{DUMMY_PREFIX}{i}" for i in range(n_votes * m * m)]
+    candidates = _nsav_padded(rule, candidates, len(registered) + len(unregistered), len(candidates))
     return ctl.ControlInstance(
         "CCAV", rule, candidates, registered, 1, {"p"},
         unregistered_votes=unregistered, budget_add=kappa,
@@ -344,10 +345,7 @@ def generate_ccdv_sav_rx3c(source: Rx3cInstance, rule: Rule = SAV) -> ctl.Contro
     candidates = list(source.universe) + ["p", "d1", "d2", "d3"]
     votes = [frozenset(("p", "d1")), frozenset(("p", "d2", "d3"))]
     votes += [frozenset(s) for s in source.sets]
-    if rule.kind == "NSAV":
-        n_votes = len(votes)
-        m = len(candidates)
-        candidates += [f"{DUMMY_PREFIX}{i}" for i in range(n_votes * m * m)]
+    candidates = _nsav_padded(rule, candidates, len(votes), len(candidates))
     return ctl.ControlInstance("CCDV", rule, candidates, votes, 1, {"p"}, budget_delete=kappa)
 
 
@@ -383,10 +381,7 @@ def generate_ccac_sav_rx3c(source: Rx3cInstance, rule: Rule = SAV) -> ctl.Contro
         votes.append(
             frozenset([element_cands[a]] + [set_cands[s_i] for s_i, s in enumerate(source.sets) if a in s])
         )
-    if rule.kind == "NSAV":
-        m = len(registered) + len(unregistered)
-        n_votes = len(votes)
-        registered += [f"{DUMMY_PREFIX}{i}" for i in range(n_votes * m * m)]
+    registered = _nsav_padded(rule, registered, len(votes), len(registered) + len(unregistered))
     return ctl.ControlInstance(
         "CCAC", rule, registered, votes, 1, {"p"},
         unregistered_candidates=unregistered, budget_add=kappa,
@@ -410,10 +405,7 @@ def generate_ccdc_sav_rx3c(source: Rx3cInstance, rule: Rule = SAV) -> ctl.Contro
         votes.extend([frozenset([element_cands[a]])] * (8 * kappa - 2))
     votes.extend([frozenset(["p", *element_cands.values()])] * (6 * (3 * kappa + 1)))
     assert len(votes) == 60 * kappa * kappa + 30 * kappa + 6
-    if rule.kind == "NSAV":
-        m = len(candidates)
-        n_votes = len(votes)
-        candidates += [f"{DUMMY_PREFIX}{i}" for i in range(n_votes * m * m + kappa)]
+    candidates = _nsav_padded(rule, candidates, len(votes), len(candidates), kappa)
     return ctl.ControlInstance("CCDC", rule, candidates, votes, 1, {"p"}, budget_delete=kappa)
 
 

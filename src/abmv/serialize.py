@@ -28,7 +28,7 @@ def fraction_str(value: Fraction) -> str:
 def load_election(obj: dict) -> Election:
     if "candidates" not in obj or "votes" not in obj:
         raise ValidationError("an election needs 'candidates' and 'votes'")
-    return Election(obj["candidates"], [frozenset(v) for v in obj["votes"]])
+    return Election(obj["candidates"], obj["votes"])
 
 
 def election_to_obj(election: Election) -> dict:
@@ -40,18 +40,15 @@ def election_to_obj(election: Election) -> dict:
 
 def load_manipulation_instance(obj: dict, rule: Rule, variant=None) -> man.ManipulationInstance:
     variant = (variant or obj.get("variant", "CBCM")).upper()
-    committee = obj.get("baseline_committee")
     return man.ManipulationInstance(
         rule,
         variant,
         obj["candidates"],
-        [frozenset(v) for v in obj.get("votes", [])],
-        [frozenset(v) for v in obj["manipulators"]],
+        obj.get("votes", ()),
+        obj["manipulators"],
         obj["k"],
-        None if committee is None else frozenset(committee),
-        ballot_blocks=tuple(
-            tuple(frozenset(b) for b in blocks) for blocks in obj.get("ballot_blocks", [])
-        ),
+        obj.get("baseline_committee"),
+        ballot_blocks=obj.get("ballot_blocks", ()),
     )
 
 
@@ -89,11 +86,11 @@ def load_control_instance(obj: dict, rule: Rule, ctype=None) -> ctl.ControlInsta
         ctype,
         rule,
         obj["candidates"],
-        [frozenset(v) for v in obj.get("votes", [])],
+        obj.get("votes", ()),
         obj["k"],
-        frozenset(obj["J"]),
+        obj["J"],
         unregistered_candidates=obj.get("unregistered_candidates", ()),
-        unregistered_votes=[frozenset(v) for v in obj.get("unregistered_votes", [])],
+        unregistered_votes=obj.get("unregistered_votes", ()),
         budget_add=budget_add,
         budget_delete=budget_delete,
     )

@@ -7,7 +7,7 @@ import pytest
 
 import abmv
 from abmv import cli, serialize, winners
-from abmv.core import SAV, ValidationError
+from abmv.core import PAV, SAV, ValidationError
 from abmv import manipulation as man, control as ctl
 
 # The directory holding the imported package. The child runs in a temporary
@@ -281,3 +281,6 @@ def test_auto_control_picks_thiele_fpt_only_when_it_accepts(
     out = json.loads(capsys.readouterr().out)
     assert code == cli.EXIT_YES
     assert out["algorithm"] == algorithm and out["answer"] == "YES"
+    # the library makes the same choice
+    chosen, verdict = abmv.solve(serialize.load_control_instance(instance, PAV))
+    assert chosen == algorithm and serialize.verdict_to_obj(verdict)["witness"] == out["witness"]

@@ -61,6 +61,34 @@ class TestApplyControl:
         with pytest.raises(ValidationError):
             apply_control(inst, ControlSolution(deleted_candidates=("a",)))
 
+    @pytest.mark.parametrize(
+        "ctype,picks,message",
+        [
+            ("CCADV", {"added_votes": (1,)}, "bad unregistered vote indices"),
+            ("CCADV", {"added_votes": (0, 0)}, "bad unregistered vote indices"),
+            ("CCADV", {"added_votes": (-1,)}, "bad unregistered vote indices"),
+            ("CCADV", {"deleted_votes": (2,)}, "bad registered vote indices"),
+            ("CCADV", {"deleted_votes": (0, 1)}, "deletion budget violated"),
+            ("CCADV", {"added_votes": (5,), "deleted_votes": (7,)}, "bad unregistered vote indices"),
+            ("CCADV", {"deleted_votes": (7,), "added_candidates": ("d",)}, "CCADV cannot add candidates"),
+            ("CCADC", {"added_candidates": ("a",)}, "bad unregistered candidates"),
+            ("CCADC", {"added_candidates": ("d", "e")}, "addition budget violated"),
+            ("CCADC", {"deleted_candidates": ("z",)}, "bad deleted candidates"),
+            ("CCADC", {"deleted_candidates": ("b", "b")}, "bad deleted candidates"),
+            ("CCADC", {"deleted_candidates": ("a", "b")}, "distinguished candidates cannot be deleted"),
+            ("CCADC", {"deleted_candidates": ("b", "c")}, "deletion budget violated"),
+            ("CCADC", {"added_candidates": ("d", "e"), "deleted_candidates": ("z",)},
+             "addition budget violated"),
+        ],
+    )
+    def test_messages_in_check_order(self, ctype, picks, message):
+        unregistered = {"unregistered_votes": [{"c"}]} if ctype == "CCADV" else {
+            "unregistered_candidates": ["d", "e"]}
+        inst = ControlInstance(ctype, AV, ["a", "b", "c"], [{"a"}, {"b"}], 1, {"a"},
+                               budget_add=1, budget_delete=1, **unregistered)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            apply_control(inst, ControlSolution(**picks))
+
     def test_must_leave_k_candidates(self):
         inst = ControlInstance("CCDC", AV, ["a", "b"], [{"a"}], 2, {"a"}, budget_delete=1)
         with pytest.raises(ValidationError):

@@ -121,6 +121,12 @@ class TestBruteForce:
                 == solve_manipulation_bruteforce(inst, pool="unrestricted").yes
             )
 
+    def test_pool_override_outside_the_roster_raises(self, example1_election):
+        cands, honest, manip = example1_election
+        inst = ManipulationInstance(SAV, "CBCM", cands, honest, manip, 2, {"x", "y"})
+        with pytest.raises(core.DomainError, match=r"^unknown candidates \['q', 'zz'\]$"):
+            solve_manipulation_bruteforce(inst, pool_override=["a", "zz", "q"])
+
 
 class TestAvConstManipulators:
     def test_k3_triangle_construction(self):
