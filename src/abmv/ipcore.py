@@ -3,8 +3,9 @@
 All the fixed-parameter formulations in this package bound every
 variable by a multiset size, so a depth-first branch-and-bound with
 bound-tightening propagation decides them exactly. Propagation works
-from a queue of rows, and a branch queues only the rows its variable
-occurs in, since the bounds it starts from are already a fixpoint.
+from a queue of rows, and a bound change queues only the rows whose
+minimum activity it moves, since the bounds it starts from are already
+a fixpoint.
 Strict inequalities are first-class: rows are scaled to integers as
 they are added, so `a < b` over integer-valued expressions becomes
 `a <= b - 1`. There is no LP relaxation and no floating point
@@ -118,16 +119,39 @@ def _normalized(program: IntegerProgram):
     return rows
 
 
-def _propagate(rows, occurs, lower, upper, queue):
+def _moved_rows(rows, count):
+    """(raises, falls): per variable, the rows whose minimum activity a
+    rising lower bound moves (positive coefficient) and those a falling
+    upper bound moves (negative coefficient)."""
+    raises = [[] for _ in range(count)]
+    falls = [[] for _ in range(count)]
+    for r, (pairs, _) in enumerate(rows):
+        for j, c in pairs:
+            (raises if c > 0 else falls)[j].append(r)
+    return raises, falls
+
+
+def _fix(raises, falls, lower, upper, j, value):
+    """Fix variable j to `value` in place; return the rows to propagate."""
+    queue = raises[j] if value > lower[j] else []
+    if value < upper[j]:
+        queue = queue + falls[j]
+    lower[j] = upper[j] = value
+    return queue
+
+
+def _propagate(rows, raises, falls, lower, upper, queue):
     """Tighten variable bounds until fixpoint; False on wipeout.
 
     Only the rows in `queue` are visited at first: the root passes every
-    row, a branch the rows of its variable, because the frame's bounds
-    are already a fixpoint. A tightened variable queues the other rows
-    it occurs in (`occurs[j]`); a row's own tightenings never change its
-    minimum activity, since each variable occurs in a row once. Every
-    tightening is monotone, so the fixpoint, and the verdict, do not
-    depend on the order rows are visited in.
+    row, a branch the rows its fix moves (`_fix`), because the frame's
+    bounds are already a fixpoint. A tightened bound queues the rows
+    whose minimum activity it moves, `falls[j]` for an upper bound and
+    `raises[j]` for a lower one; every other row keeps its slack. A
+    row's own tightenings never move its minimum activity, since each
+    variable occurs in a row once. Every tightening is monotone, so the
+    fixpoint, and the verdict, do not depend on the order rows are
+    visited in.
     """
     queue = deque(queue)
     waiting = set(queue)
@@ -147,15 +171,17 @@ def _propagate(rows, occurs, lower, upper, queue):
                 if new_upper >= upper[j]:
                     continue
                 upper[j] = new_upper
+                moved = falls[j]
             else:
                 new_lower = upper[j] - slack // (-c)
                 if new_lower <= lower[j]:
                     continue
                 lower[j] = new_lower
+                moved = raises[j]
             if lower[j] > upper[j]:
                 return False
-            for other in occurs[j]:
-                if other != r and other not in waiting:
+            for other in moved:
+                if other not in waiting:
                     waiting.add(other)
                     queue.append(other)
     return True
@@ -175,10 +201,7 @@ def solve_ip(program: IntegerProgram, node_cap: Optional[int] = None) -> IpResul
     if len(set(names)) != len(names):
         raise ValueError("duplicate variable names")
     rows = _normalized(program)
-    occurs = [[] for _ in names]
-    for r, (pairs, _) in enumerate(rows):
-        for j, _ in pairs:
-            occurs[j].append(r)
+    raises, falls = _moved_rows(rows, len(names))
     queue = range(len(rows))
     lower = [lo for _, lo, _ in program.variables]
     upper = [hi for _, _, hi in program.variables]
@@ -190,7 +213,7 @@ def solve_ip(program: IntegerProgram, node_cap: Optional[int] = None) -> IpResul
     # one frame per depth: [propagated lower, propagated upper, branch variable, next value]
     stack = []
     while True:
-        if _propagate(rows, occurs, lower, upper, queue):
+        if _propagate(rows, raises, falls, lower, upper, queue):
             branch = next((j for j in range(len(lower)) if lower[j] < upper[j]), None)
             if branch is None:
                 assignment = dict(zip(names, lower))
@@ -208,8 +231,7 @@ def solve_ip(program: IntegerProgram, node_cap: Optional[int] = None) -> IpResul
         if nodes > cap:
             raise ResourceCapError(f"integer program exceeded the node cap {cap}")
         lower, upper = list(frame_lower), list(frame_upper)
-        lower[branch] = upper[branch] = value
-        queue = occurs[branch]
+        queue = _fix(raises, falls, lower, upper, branch, value)
     if not check_solution(program, assignment):
         raise AssertionError("solver produced an uncertified assignment")
     return IpResult(FEASIBLE, assignment)

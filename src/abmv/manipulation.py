@@ -285,9 +285,11 @@ class _ProfileChecker:
 
     Additive rules read the threshold partition off integer scores (see
     `core.size_weights`; the scale grows when a profile casts a ballot
-    size not seen before); other rules go through the clone class
-    evaluator. For SDCM the truthful winning distribution is computed
-    once up front with the class evaluator.
+    size not seen before), so under AV a verdict depends only on how
+    many cast ballots approve each candidate, which split-mode brute
+    force uses to decide each such count vector once; other rules go
+    through the clone class evaluator. For SDCM the truthful winning
+    distribution is computed once up front with the class evaluator.
     """
 
     def __init__(self, instance: ManipulationInstance, cap=None):
@@ -445,6 +447,31 @@ def _ballot_options(instance: ManipulationInstance, pool_kind: str, pool_overrid
     return bases, per_manipulator
 
 
+def _once_per_count_vector(accepts, pools, t):
+    """`accepts`, called once per approval-count vector of the t cast ballots.
+
+    The i-th candidate of the options gets the digit (t+1)^i and a
+    ballot the sum of its members' digits; no count exceeds t, so the
+    sum of a profile's codes names its count vector exactly.
+    """
+    digit = {}
+    for options in pools:
+        for ballot in options:
+            for c in ballot:
+                digit.setdefault(c, (t + 1) ** len(digit))
+    code = {ballot: sum(map(digit.__getitem__, ballot)) for options in pools for ballot in options}
+    verdicts = {}
+
+    def decide(profile) -> bool:
+        key = sum(map(code.__getitem__, profile))
+        verdict = verdicts.get(key)
+        if verdict is None:
+            verdict = verdicts[key] = accepts(profile)
+        return verdict
+
+    return decide
+
+
 def solve_manipulation_bruteforce(
     instance: ManipulationInstance,
     profile_mode: str = "split",
@@ -461,6 +488,17 @@ def solve_manipulation_bruteforce(
     truthfully approves — exact for additive rules — joined with the
     displaced committee for the other rules; `unrestricted` is the
     escape hatch.
+
+    Profiles are walked in one fixed order and every accepted profile is
+    certified by `certify_manipulation`. Under AV with t >= 2 split
+    ballots, acceptance is decided once per approval-count vector (how
+    many of the t ballots approve each candidate): AV scores are the
+    honest scores plus those counts, so two profiles with one vector get
+    one verdict, and the first accepted profile is the same one. The
+    call-local table holds at most min(profiles tried, (t+1)^u) verdicts,
+    u the number of candidates in the ballot options. SAV and NSAV weigh
+    a ballot by its size, and t = 1 profiles never share a vector, so
+    those decide every profile.
     """
     limit = effective_cap(cap if cap is not None else PROFILE_CAP)
     bases, extras = _ballot_options(instance, pool, pool_override)
@@ -489,8 +527,11 @@ def solve_manipulation_bruteforce(
             profiles = combinations_with_replacement(pools[0], instance.t)
         else:
             profiles = product(*pools)
+        accepts = checker.accepts
+        if instance.rule.kind == "AV" and instance.t > 1:
+            accepts = _once_per_count_vector(accepts, pools, instance.t)
         for profile in profiles:
-            if checker.accepts(profile):
+            if accepts(profile):
                 if certify_manipulation(instance, profile):
                     return Verdict(True, tuple(profile))
         return NO

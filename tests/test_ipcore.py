@@ -191,32 +191,27 @@ def propagation_cases(draw):
     return rows, [lo for lo, _ in bounds], [hi for _, hi in bounds], branch, draw(st.integers(-4, 4))
 
 
-def occurrences(rows, count):
-    occurs = [[] for _ in range(count)]
-    for r, (pairs, _) in enumerate(rows):
-        for j, _ in pairs:
-            occurs[j].append(r)
-    return occurs
-
-
 @settings(max_examples=500, deadline=None)
 @given(propagation_cases())
 def test_row_queue_propagation_matches_full_sweeps(case):
     rows, lower, upper, branch, value = case
-    occurs = occurrences(rows, len(lower))
+    raises, falls = ipcore._moved_rows(rows, len(lower))
     # from the root every row is queued
     ref_lower, ref_upper = list(lower), list(upper)
     expected = propagate_by_full_sweeps(rows, ref_lower, ref_upper)
-    assert ipcore._propagate(rows, occurs, lower, upper, range(len(rows))) == expected
+    assert ipcore._propagate(rows, raises, falls, lower, upper, range(len(rows))) == expected
     if not expected:
         return
     assert (lower, upper) == (ref_lower, ref_upper)
-    # after a branch only the branched variable's rows are queued
+    # after a branch only the rows whose minimum activity the fix moves are
+    # queued, as `solve_ip` queues them
     if not lower[branch] <= value <= upper[branch]:
         return
-    lower[branch] = upper[branch] = ref_lower[branch] = ref_upper[branch] = value
+    queue = ipcore._fix(raises, falls, lower, upper, branch, value)
+    ref_lower[branch] = ref_upper[branch] = value
+    assert (lower, upper) == (ref_lower, ref_upper)
     expected = propagate_by_full_sweeps(rows, ref_lower, ref_upper)
-    assert ipcore._propagate(rows, occurs, lower, upper, occurs[branch]) == expected
+    assert ipcore._propagate(rows, raises, falls, lower, upper, queue) == expected
     if expected:
         assert (lower, upper) == (ref_lower, ref_upper)
 

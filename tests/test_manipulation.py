@@ -1,6 +1,6 @@
 import hashlib
 import random
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -329,11 +329,16 @@ def test_example1_rescored_under_av_matches_bruteforce(example1_election):
     assert solve_av_const_manipulators(inst).yes == solve_manipulation_bruteforce(inst).yes
 
 
+def option_pools(inst, pool):
+    """Each manipulator's ballot options, in the order the search lists them."""
+    bases, extras = man._ballot_options(inst, pool, None)
+    return [list(dict.fromkeys(b | e for b in bases for e in extras[i])) for i in range(inst.t)]
+
+
 def reference_bruteforce(inst, pool):
     """Every ordered profile in `product` order, decided by the class-count
     evaluator; the search's own decision must agree on each one."""
-    bases, extras = man._ballot_options(inst, pool, None)
-    pools = [list(dict.fromkeys(b | e for b in bases for e in extras[i])) for i in range(inst.t)]
+    pools = option_pools(inst, pool)
     checker = man._ProfileChecker(inst)
     for profile in product(*pools):
         accepted = checker._general_accepts(profile)
@@ -416,25 +421,92 @@ def test_bruteforce_matches_ordered_class_count_reference(inst, pool):
     assert (verdict.yes, verdict.witness) == (expected.yes, expected.witness)
 
 
+def fresh_checker_bruteforce(inst, pool):
+    """The split search's profile order, each profile decided by a checker
+    built for it alone and then certified."""
+    pools = option_pools(inst, pool)
+    if all(options == pools[0] for options in pools):
+        profiles = combinations_with_replacement(pools[0], inst.t)
+    else:
+        profiles = product(*pools)
+    for profile in profiles:
+        if man._ProfileChecker(inst).accepts(profile) and certify_manipulation(inst, profile):
+            return Verdict(True, profile), pools
+    return man.NO, pools
+
+
+@st.composite
+def av_split_instances(draw):
+    """AV instances with two or three manipulators, sometimes with private
+    blocks so that their option lists differ."""
+    variant = draw(st.sampled_from(man.VARIANTS))
+    t = draw(st.integers(2, 3))
+    blocked = draw(st.booleans())
+    m = draw(st.integers(2, 4 if t == 2 and not blocked else 3))
+    cands = [f"c{i}" for i in range(m)]
+    nonempty = st.frozensets(st.sampled_from(cands), min_size=1)
+    honest = draw(st.lists(st.frozensets(st.sampled_from(cands)), max_size=4))
+    manip = draw(st.lists(nonempty, min_size=t, max_size=t))
+    blocks = draw(st.lists(st.lists(nonempty, max_size=2), min_size=t, max_size=t)) if blocked else ()
+    k = draw(st.integers(1, m))
+    committee = None
+    if variant != "SDCM":
+        ws = winners.winning_committees(AV, Election(cands, honest + manip), k, "exhaustive")
+        committee = min(ws.committees, key=lambda w: sum(len(v & set(w)) for v in manip))
+    return ManipulationInstance(AV, variant, cands, honest, manip, k, committee, blocks)
+
+
+@settings(max_examples=120, deadline=None)
+@example(_yes_case(*YES_CASES[0])[0], "auto")
+@example(_yes_case(*YES_CASES[9])[0], "with_committee")
+@given(av_split_instances(), st.sampled_from(["auto", "unrestricted"]))
+def test_av_count_vectors_keep_fresh_checker_verdicts(inst, pool):
+    """Deciding each AV count vector once gives the verdict and witness of
+    deciding every profile afresh, and decides at most (t+1)^u profiles."""
+    partitions = []
+    count_partitions = man._partition_sets
+
+    def counted(scores, k):
+        partitions.append(k)
+        return count_partitions(scores, k)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(man, "_partition_sets", counted)
+        verdict = solve_manipulation_bruteforce(inst, pool=pool)
+    expected, pools = fresh_checker_bruteforce(inst, pool)
+    assert (verdict.yes, verdict.witness) == (expected.yes, expected.witness)
+    u = len(frozenset().union(*(b for options in pools for b in options)))
+    assert len(partitions) <= (inst.t + 1) ** u
+
+
 def test_split_cap_counts_ordered_profiles(monkeypatch):
     # 8 ballots over the union {a, b, c} and t = 3: the cap still counts
     # 8**3 = 512 ordered profiles, although the search visits 120 multisets
+    # and, under AV, decides only their 4**3 = 64 approval-count vectors
     monkeypatch.delenv("ABMV_NODE_CAP", raising=False)
     inst = ManipulationInstance(
         AV, "CBCM", ["a", "b", "c", "d"], [{"d"}] * 3, [{"a", "b"}, {"b", "c"}, {"a", "c"}], 1, {"d"}
     )
     with pytest.raises(ResourceCapError, match="^512 ballot profiles exceed the cap 511$"):
         solve_manipulation_bruteforce(inst, cap=511)
-    visited = []
+    walked, decided = [], []
+    walk = man.combinations_with_replacement
     accepts = man._ProfileChecker.accepts
 
+    def counted_walk(options, t):
+        for profile in walk(options, t):
+            walked.append(profile)
+            yield profile
+
     def counted(checker, profile):
-        visited.append(profile)
+        decided.append(profile)
         return accepts(checker, profile)
 
+    monkeypatch.setattr(man, "combinations_with_replacement", counted_walk)
     monkeypatch.setattr(man._ProfileChecker, "accepts", counted)
     assert not solve_manipulation_bruteforce(inst, cap=512).yes
-    assert len(visited) == 120
+    assert len(walked) == 120
+    assert len(decided) == 64
 
 
 def test_padded_sdcm_certifies_without_the_partition(monkeypatch):
