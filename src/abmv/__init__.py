@@ -35,10 +35,16 @@ def solve(instance, algo: str = "auto", **options) -> tuple:
 
     `algo` names an entry of the instance's table, `manipulation.ALGORITHMS`
     or `control.ALGORITHMS`; "auto" takes the table's `auto_algorithm`.
-    Each solver gets only the `options` it names. Every YES witness is
-    certified independently of the search; a failed certification raises
-    `AssertionError`. A JCC control instance takes no action, so whatever
-    `algo` says, it is J-CC on the registered election, reported as "jcc".
+    Each solver gets only the `options` it names. A JCC control instance
+    takes no action, so whatever `algo` says, it is J-CC on the registered
+    election, reported as "jcc".
+
+    This is where every YES witness is certified, once, by
+    `certify_manipulation` or `control_succeeds`; a failure raises
+    `AssertionError`. The solvers return the first witness their own
+    search accepts, uncertified, except where a certifier is the decision:
+    both brute forces (after an exact prefilter), `solve_ccav_mav_fpt` and
+    color coding. `verification` certifies every YES it meets the same way.
     """
     if isinstance(instance, manipulation.ManipulationInstance):
         module, certify = manipulation, manipulation.certify_manipulation

@@ -38,7 +38,10 @@ def _rule_from_args(args) -> Rule:
 
 def _read_json(path: str) -> dict:
     with open(path) as handle:
-        return json.load(handle)
+        obj = json.load(handle)
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{path}: the input must be a JSON object, not {type(obj).__name__}")
+    return obj
 
 
 def _emit(args, obj: dict, text_lines):

@@ -3,8 +3,9 @@
 An external agent adds or deletes a budgeted number of voters or
 candidates so that a distinguished set J lands in every winning
 k-committee. Verdicts are tie-breaking-free (J must be in *all* winning
-committees) and every YES ships an add/delete selection that is
-re-verified by applying it and deciding J-CC on the result.
+committees) and every YES ships an add/delete selection;
+`control_succeeds` checks one by applying it and deciding J-CC on the
+result, and `abmv.solve` says who calls it.
 """
 
 from __future__ import annotations
@@ -159,13 +160,11 @@ def apply_control(instance: ControlInstance, solution: ControlSolution) -> Elect
     return Election(tuple(roster), [v & keep for v in instance.registered_votes])
 
 
-def control_succeeds(
-    instance: ControlInstance, solution: ControlSolution, jcc_algo: str = "auto"
-) -> bool:
+def control_succeeds(instance: ControlInstance, solution: ControlSolution) -> bool:
     """Apply the solution and decide whether J is in all winning committees."""
     election = apply_control(instance, solution)
     jcc = winners.JccInstance(election, instance.k, instance.distinguished)
-    return winners.j_cc(instance.rule, jcc, algo=jcc_algo)
+    return winners.j_cc(instance.rule, jcc)
 
 
 def _solution_stream(instance: ControlInstance, deletion_pool=None):
@@ -370,9 +369,7 @@ def solve_ccdv_mav_poly(instance: ControlInstance, cap: Optional[int] = None) ->
                 (max((core.hamming_distance(other, v) for v in kept), default=0)) >= x + 1
                 for other in without_j
             ):
-                solution = ControlSolution(deleted_votes=deleted)
-                if control_succeeds(instance, solution):
-                    return Verdict(True, solution)
+                return Verdict(True, ControlSolution(deleted_votes=deleted))
     return Verdict(False)
 
 
@@ -417,7 +414,7 @@ def _ballot_groups(votes: Sequence[frozenset]):
 
 
 def _vote_count_search(instance: ControlInstance, guesses, cap) -> Verdict:
-    """First certified solution of the voter-control programs, one per guess.
+    """First solution of the voter-control programs, one per guess.
 
     The variables count, per distinct ballot, the deleted registered copies
     (`d<g>`) and the added unregistered copies (`a<g>`) within the budgets.
@@ -453,8 +450,7 @@ def _vote_count_search(instance: ControlInstance, guesses, cap) -> Verdict:
                 added_votes=chosen(addable, result.assignment),
                 deleted_votes=chosen(deletable, result.assignment),
             )
-            if control_succeeds(instance, solution):
-                return Verdict(True, solution)
+            return Verdict(True, solution)
     return Verdict(False)
 
 
@@ -675,7 +671,6 @@ def solve_ccadc_colorcoding(
         raise UnsupportedRuleError("this solver handles candidate control")
     if instance.rule.kind not in ("SAV", "NSAV", "ABCCV", "PAV", "MAV", "THIELE", "AV"):
         raise UnsupportedRuleError(f"unsupported rule {instance.rule.kind}")
-    jcc_algo = "auto" if instance.rule.is_additive else "fptn"
     la = instance.budget_add or 0
     ld = instance.budget_delete or 0
     deletable = [c for c in instance.registered_candidates if c not in instance.distinguished]
@@ -715,7 +710,7 @@ def solve_ccadc_colorcoding(
                         solution = ControlSolution(
                             added_candidates=tuple(added), deleted_candidates=tuple(deleted)
                         )
-                        if control_succeeds(instance, solution, jcc_algo):
+                        if control_succeeds(instance, solution):
                             return Verdict(True, solution, details)
     return Verdict(False, None, details)
 

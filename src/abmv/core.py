@@ -489,8 +489,8 @@ class Verdict:
     """YES/NO answer to a strategic decision problem.
 
     YES verdicts carry a machine-checkable witness (a ballot profile for
-    manipulation, an add/delete selection for control) that callers
-    re-verify by applying it and recomputing the winners.
+    manipulation, an add/delete selection for control); `abmv.solve`
+    certifies it by applying it and recomputing the winners.
     """
 
     yes: bool

@@ -6,7 +6,8 @@ committee by cardinality (strictly more approved members), by subset
 collections by stochastic domination. Every solver returns a verdict
 with a machine-checkable ballot profile on YES, and every specialized
 algorithm must agree with `solve_manipulation_bruteforce` on its
-applicability domain.
+applicability domain. `certify_manipulation` checks a profile against
+the definition; `abmv.solve` says who calls it.
 """
 
 from __future__ import annotations
@@ -618,8 +619,7 @@ def solve_av_const_manipulators(instance: ManipulationInstance, cap: Optional[in
             ballot |= frozenset(part)
         profile = (ballot,) * instance.t
         if checker.accepts(profile):
-            if certify_manipulation(instance, profile):
-                return Verdict(True, profile)
+            return Verdict(True, profile)
     return NO
 
 
@@ -640,8 +640,7 @@ def solve_manipulation_fpt_m_av(instance: ManipulationInstance, cap: Optional[in
         for combo in combinations(instance.candidates, r):
             profile = (frozenset(combo),) * instance.t
             if checker.accepts(profile):
-                if certify_manipulation(instance, profile):
-                    return Verdict(True, profile)
+                return Verdict(True, profile)
     return NO
 
 
@@ -741,17 +740,15 @@ def _decode_reassignment(instance, names, assignment):
 
 
 def _realize_partition(instance, wanted, cap) -> Verdict:
-    """First certified profile that realizes, exactly, a score partition
-    whose winning collection `wanted(swin, pwin)` accepts."""
+    """First profile that realizes, exactly, a score partition whose
+    winning collection `wanted(swin, pwin)` accepts."""
     for swin, pwin in _score_partitions(instance.candidates, instance.k):
         if not wanted(swin, pwin):
             continue
         program, names = _reassignment_program(instance, swin, pwin)
         result = ipcore.solve_ip(program, cap)
         if result.feasible:
-            profile = _decode_reassignment(instance, names, result.assignment)
-            if certify_manipulation(instance, profile):
-                return Verdict(True, profile)
+            return Verdict(True, _decode_reassignment(instance, names, result.assignment))
     return NO
 
 
@@ -952,9 +949,7 @@ def solve_savnsav_const_manipulators(
                     state = final[pick[g]]
                     for i, names in enumerate(_replay_class(group_members[g], trace, state, t)):
                         ballots[i].update(names)
-                profile = tuple(frozenset(b) for b in ballots)
-                if certify_manipulation(instance, profile):
-                    return Verdict(True, profile)
+                return Verdict(True, tuple(frozenset(b) for b in ballots))
     return NO
 
 

@@ -31,13 +31,6 @@ def load_election(obj: dict) -> Election:
     return Election(obj["candidates"], obj["votes"])
 
 
-def election_to_obj(election: Election) -> dict:
-    return {
-        "candidates": list(election.candidates),
-        "votes": [sorted(v, key=election.index) for v in election.votes],
-    }
-
-
 def load_manipulation_instance(obj: dict, rule: Rule, variant=None) -> man.ManipulationInstance:
     variant = (variant or obj.get("variant", "CBCM")).upper()
     return man.ManipulationInstance(

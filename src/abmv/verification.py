@@ -2,7 +2,7 @@
 
 Each suite runs deterministic randomized trials and reports failures as
 strings; the CLI `verify` command and the acceptance tests both run
-these. Every YES verdict encountered anywhere is re-certified by
+these. Every YES verdict encountered anywhere is certified by
 applying its witness and recomputing winners; an uncertified YES is a
 failure regardless of any other agreement.
 """

@@ -7,7 +7,7 @@ import pytest
 
 import abmv
 from abmv import cli, serialize, winners
-from abmv.core import PAV, SAV, ValidationError
+from abmv.core import PAV, SAV, Election, ValidationError
 from abmv import manipulation as man, control as ctl
 
 # The directory holding the imported package. The child runs in a temporary
@@ -110,6 +110,26 @@ def test_usage_error_exit_two(example_files):
     assert proc.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["winners", "--rule", "av", "-k", "1"],
+        ["score", "--rule", "av", "--candidate", "a"],
+        ["jcc", "--rule", "av", "-k", "1"],
+        ["solve-manip", "--rule", "av"],
+        ["solve-control", "--rule", "av"],
+        ["gen", "--kind", "CcdvSavRx3c"],
+    ],
+    ids=lambda args: args[0],
+)
+@pytest.mark.parametrize("document", [[1, 2], "votes", 3, None])
+def test_non_object_input_exits_two(tmp_path, capsys, args, document):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(document))
+    assert cli.main(args + [str(path)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_verify_suite_exit_zero(example_files):
     proc = run_cli(["verify", "--suite", "lemma1", "--trials", "25", "--seed", "1"], example_files)
     assert proc.returncode == 0
@@ -126,9 +146,11 @@ def test_json_output_is_deterministic(example_files):
 
 
 class TestSerialization:
-    def test_election_round_trip(self, example1_full):
-        obj = serialize.election_to_obj(example1_full)
-        assert serialize.load_election(obj) == example1_full
+    def test_election_round_trip(self):
+        obj = {"candidates": ["a", "b", "c"], "votes": [["a", "b"], [], ["c"]]}
+        election = serialize.load_election(obj)
+        assert election == Election(["a", "b", "c"], [{"a", "b"}, set(), {"c"}])
+        assert [sorted(v) for v in election.votes] == obj["votes"]
 
     def test_manipulation_round_trip(self, example1_election):
         cands, honest, manip = example1_election

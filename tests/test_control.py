@@ -178,7 +178,8 @@ class TestAdditiveControlOracle:
     def test_matches_rebuilt_bruteforce_on_every_action(self, inst):
         oracle = ctl._AdditiveControlOracle(inst)
         for solution in ctl._solution_stream(inst):
-            assert oracle.jcc_after(solution) == control_succeeds(inst, solution, "bruteforce"), solution
+            jcc = winners.JccInstance(apply_control(inst, solution), inst.k, inst.distinguished)
+            assert oracle.jcc_after(solution) == winners.j_cc(inst.rule, jcc, algo="bruteforce"), solution
 
     @pytest.mark.parametrize(
         "sets,answer",

@@ -121,6 +121,34 @@ def test_a_failed_certification_raises(monkeypatch):
         abmv.solve(ex1(), "bruteforce")
 
 
+# YES instances of every solver that returns its own search's witness
+# uncertified; `abmv.solve` certifies for them
+SELF_DECIDING = [
+    (man.solve_av_const_manipulators, small_manip(AV, t=3)),
+    (man.solve_savnsav_const_manipulators, ex1()),
+    (man.solve_manipulation_fpt_m_av, small_manip(AV, "SBCM", t=3)),
+    (man.solve_manipulation_fpt_m_additive, small_manip(NSAV)),
+    (man.solve_sdcm_fpt_m, small_manip(SAV, "SDCM")),
+    (ctl.solve_ccdv_mav_poly, voter_control("CCDV", MAV)),
+    (ctl.solve_ccadv_additive_fpt, voter_control("CCAV", SAV)),
+    (ctl.solve_ccadv_thiele_fpt, voter_control("CCDV", PAV)),
+]
+
+
+@pytest.mark.parametrize("solver,instance", SELF_DECIDING, ids=[s.__name__ for s, _ in SELF_DECIDING])
+def test_specialised_solvers_do_not_certify_their_own_witness(monkeypatch, solver, instance):
+    certify = man.certify_manipulation if solver.__module__ == man.__name__ else ctl.control_succeeds
+
+    def refuse(*args):
+        raise AssertionError("certified inside the search")
+
+    monkeypatch.setattr(man, "certify_manipulation", refuse)
+    monkeypatch.setattr(ctl, "control_succeeds", refuse)
+    verdict = solver(instance)
+    assert verdict.yes
+    assert certify(instance, verdict.witness)
+
+
 @pytest.mark.parametrize(
     "instance,algorithm",
     [
