@@ -86,8 +86,8 @@ def cmd_jcc(args) -> int:
     rule = _rule_from_args(args)
     obj = _read_json(args.input)
     election = serialize.load_election(obj)
-    distinguished = args.J.split(",") if args.J else obj.get("J", [])
-    k = args.k if args.k is not None else obj.get("k")
+    distinguished = args.J.split(",") if args.J else serialize.field(obj, "J", serialize.LABELS, [])
+    k = args.k if args.k is not None else serialize.field(obj, "k", serialize.COUNT, None)
     if k is None:
         raise ValidationError("no committee size: pass -k or put 'k' in the file")
     instance = winners.JccInstance(election, k, frozenset(distinguished))

@@ -805,48 +805,64 @@ def solve_sdcm_fpt_m(instance: ManipulationInstance, cap: Optional[int] = None) 
 # the class tables are aggregated into the acceptance inequalities.
 
 
-def _class_table(members, quota, approver_options, h_of, s, w_members, mode):
-    """Reachable (above, at, per-manipulator-used) states for one class.
+def _class_table(members, quota, subsets, values, s, w_members, mode, traced=False):
+    """Reachable (above, at) options of one class, and how to reach them.
 
-    Transitions follow the candidate order: each member is assigned the
-    manipulator subset approving it, lands strictly above / at / below
-    the threshold accordingly, and displaced-committee members are barred
-    from falling below (at, for the multi-winner branch)."""
+    Transitions follow the candidate order: each member is assigned one
+    of `subsets`, the manipulator subsets the quota allows, and lands
+    strictly above / at / below the threshold as its score under that
+    subset, `values[x][j]`, compares with s; displaced-committee members
+    are barred from falling below (at, for the multi-winner branch). A
+    state is (above, at, used), where `used` counts each manipulator's
+    approvals as one mixed-radix int whose digit i has radix quota[i] + 1.
+
+    Returns (final, trace): final maps each (above, at) that meets the
+    quota to its first state in insertion order; trace, built only when
+    `traced`, maps each step's states to (previous state, subset).
+    """
     t = len(quota)
-    start = (0, 0, (0,) * t)
-    states = {start: None}
+    place = [1] * t
+    for i in range(1, t):
+        place[i] = place[i - 1] * (quota[i - 1] + 1)
+    target = sum(q * p for q, p in zip(quota, place))
+    # full[used]: the manipulators whose approvals have met their quota
+    full = [
+        sum(1 << i for i in range(t) if used // place[i] % (quota[i] + 1) == quota[i])
+        for used in range(target + 1)
+    ]
+    steps = [(sum(1 << i for i in sub), sum(place[i] for i in sub), sub) for sub in subsets]
+    states = {(0, 0, 0): None}
     trace = []
-    for c in members:
+    for x, c in enumerate(members):
         in_w = c in w_members
+        moves = []
+        for (mask, delta, subset), value in zip(steps, values[x]):
+            if value > s:
+                moves.append((mask, delta, 1, 0, subset))
+            elif value == s:
+                if not (mode == "sbcm_multi" and in_w):
+                    moves.append((mask, delta, 0, 1, subset))
+            elif not in_w or mode == "cbcm":
+                moves.append((mask, delta, 0, 0, subset))
         nxt = {}
-        for (above, at, used) in states:
-            for subset in approver_options:
-                if any(used[i] + 1 > quota[i] for i in subset):
+        for state in states:
+            above, at, used = state
+            blocked = full[used]
+            for mask, delta, up, level, subset in moves:
+                if mask & blocked:
                     continue
-                value = h_of(subset, c)
-                if value > s:
-                    step = (above + 1, at)
-                elif value == s:
-                    if mode == "sbcm_multi" and in_w:
-                        continue
-                    step = (above, at + 1)
-                else:
-                    if in_w and mode != "cbcm":
-                        continue
-                    step = (above, at)
-                new_used = tuple(used[i] + 1 if i in subset else used[i] for i in range(t))
-                state = (step[0], step[1], new_used)
-                if state not in nxt:
-                    nxt[state] = ((above, at, used), subset)
-        trace.append(nxt)
+                new = (above + up, at + level, used + delta)
+                if new not in nxt:
+                    nxt[new] = (state, subset)
+        if traced:
+            trace.append(nxt)
         states = nxt
         if not states:
             break
     final = {}
     for state in states:
-        above, at, used = state
-        if used == quota:
-            final.setdefault((above, at), state)
+        if state[2] == target:
+            final.setdefault(state[:2], state)
     return final, trace
 
 
@@ -865,7 +881,33 @@ def _replay_class(members, trace, final_state, t):
 def solve_savnsav_const_manipulators(
     instance: ManipulationInstance, cap: Optional[int] = None
 ) -> Verdict:
-    """CBCM/SBCM under SAV or NSAV, polynomial for fixed manipulator count."""
+    """CBCM/SBCM under SAV or NSAV, polynomial for fixed manipulator count.
+
+    For each guess of per-class approval counts, each threshold s in
+    ascending order and each acceptance mode, the class tables are
+    aggregated into the acceptance inequalities, and the first pick is
+    replayed into ballots. Exact shortcuts keep that first pick:
+
+    - No gain. A manipulator whose ballot lies inside the committee, or
+      contains it, can never strictly gain, so the answer is NO at once.
+    - The threshold window. Outside candidates keep their base score and
+      inside ones score between theirs and their reach, the base plus the
+      gains of every manipulator whose quota covers the class. So fewer
+      than k strictly above s (cbcm, sbcm_multi) needs s at least the
+      k-th highest base score, at most k at or above s (sbcm_unique)
+      needs s above the (k+1)-th, and k at or above s (k+1 for
+      sbcm_multi) needs s at most the k-th (k+1-th) highest reach. Every
+      manipulator must also end with more approved candidates at or above
+      s than its old overlap o, so s is at most the (o+1)-th highest reach
+      among its approved candidates. An (s, mode) outside the window
+      builds no table.
+    - The options memo. A class table depends on s only through the sign
+      pattern of its members' possible scores against s, so its (above,
+      at) options are kept for the whole call, keyed by class, quota,
+      mode and that pattern.
+    - The trace. Only the accepted (s, mode), at most one per call,
+      rebuilds its tables with the trace the witness is replayed from.
+    """
     rule = instance.rule
     if rule.kind not in ("SAV", "NSAV"):
         raise UnsupportedRuleError("this solver handles SAV and NSAV")
@@ -876,8 +918,9 @@ def solve_savnsav_const_manipulators(
         raise ResourceCapError(f"{t} manipulators exceed the parameter cap {MANIPULATOR_CAP}")
     limit = effective_cap(cap if cap is not None else GUESS_CAP)
     w = instance.current_committee
-    if any(v <= w for v in instance.manipulative_votes):
-        return NO  # that manipulator can never strictly gain
+    k = instance.k
+    if any(v <= w or w <= v for v in instance.manipulative_votes):
+        return NO
     m = len(instance.candidates)
     # one scale for every guess: final ballots stay inside the truthful pool
     sizes = [len(v) for v in instance.honest_votes]
@@ -890,9 +933,17 @@ def solve_savnsav_const_manipulators(
     # outside candidates gain nothing, so one sorted list answers every
     # threshold guess by bisection
     outside_base = sorted(base[c] for c in instance.candidates if c not in instance.approved_union)
-    base_values = set(base.values())
+    outside_top = outside_base[::-1][: k + 1]
+    base_values = sorted(set(base.values()))
+    ranked = sorted(base.values(), reverse=True)
+    # per mode: the lowest threshold in the window, and how many candidates
+    # must be able to reach it; scores are nonnegative
+    windows = {
+        "cbcm": (ranked[k - 1], k),
+        "sbcm_unique": (ranked[k] + 1 if k < m else 0, k),
+        "sbcm_multi": (ranked[k - 1], k + 1),
+    }
     old_overlap = [len(v & w) for v in instance.manipulative_votes]
-    k = instance.k
 
     total_guesses = 1
     for size in group_sizes:
@@ -902,6 +953,7 @@ def solve_savnsav_const_manipulators(
 
     modes = ["cbcm"] if instance.variant == "CBCM" else ["sbcm_unique", "sbcm_multi"]
     count_choices = [list(product(range(size + 1), repeat=t)) for size in group_sizes]
+    options_memo = {}
 
     for chosen in product(*count_choices):
         m_sum = [sum(counts[i] for counts in chosen) for i in range(t)]
@@ -913,52 +965,102 @@ def solve_savnsav_const_manipulators(
         # score shift of a candidate approved by exactly the manipulators in
         # `subset`, in `core.size_weights` integers: nobody's approval shifts by 0
         gain = {subset: sum(weight[m_sum[i]] for i in subset) for subset in subsets}
-
-        def h_of(subset, c):
-            return base[c] + gain[subset]
-
-        s_values = set(base_values)
+        allowed = [frozenset(i for i in range(t) if quota[i]) for quota in chosen]
+        reach = [[base[c] + gain[a] for c in members] for a, members in zip(allowed, group_members)]
+        bounds = _threshold_bounds(modes, windows, outside_top, reach, group_keys, old_overlap)
+        if not bounds:
+            continue
+        lo = min(b[1] for b in bounds)
+        hi = max(b[2] for b in bounds)
+        s_values = set(base_values[bisect_left(base_values, lo) : bisect_right(base_values, hi)])
         for c in instance.approved_union:
             for subset in subsets:
-                s_values.add(base[c] + gain[subset])
+                value = base[c] + gain[subset]
+                if lo <= value <= hi:
+                    s_values.add(value)
+        # per class: members, quota, the approver subsets the quota allows
+        # and each member's score under each
+        classes = []
+        for members, quota, a in zip(group_members, chosen, allowed):
+            subs = [sub for sub in subsets if sub <= a]
+            classes.append((members, quota, subs, [[base[c] + gain[sub] for sub in subs] for c in members]))
         for s in sorted(s_values):
             below = bisect_left(outside_base, s)
             not_above = bisect_right(outside_base, s)
             out_gt = len(outside_base) - not_above
             out_eq = not_above - below
-            for mode in modes:
-                tables = []
-                feasible = True
-                for g, members in enumerate(group_members):
-                    final, trace = _class_table(
-                        members, chosen[g], subsets, h_of, s, w, mode
-                    )
-                    if not final:
-                        feasible = False
-                        break
-                    tables.append((final, trace))
-                if not feasible:
+            patterns = {}
+            for mode, low, high in bounds:
+                if not low <= s <= high:
                     continue
-                pick = _aggregate_classes(
-                    instance, mode, group_keys, tables, out_gt, out_eq, old_overlap
-                )
+                options = _class_options(options_memo, classes, s, w, mode, patterns)
+                if options is None:
+                    continue
+                pick = _aggregate_classes(instance, mode, group_keys, options, out_gt, out_eq, old_overlap)
                 if pick is None:
                     continue
                 ballots = [set() for _ in range(t)]
-                for g, (final, trace) in enumerate(tables):
-                    state = final[pick[g]]
-                    for i, names in enumerate(_replay_class(group_members[g], trace, state, t)):
+                for (members, *table), option in zip(classes, pick):
+                    final, trace = _class_table(members, *table, s, w, mode, traced=True)
+                    for i, names in enumerate(_replay_class(members, trace, final[option], t)):
                         ballots[i].update(names)
-                return Verdict(True, tuple(frozenset(b) for b in ballots))
+                return Verdict(True, tuple(map(frozenset, ballots)))
     return NO
 
 
-def _aggregate_classes(instance, mode, group_keys, tables, out_gt, out_eq, old_overlap):
-    """Pick one (above, at) option per class satisfying the acceptance
-    inequalities; returns the chosen options or None."""
+def _class_options(memo, classes, s, w_members, mode, patterns):
+    """Each class's sorted (above, at) options at threshold s, or None when
+    a class has none.
+
+    `classes` holds (members, quota, subsets, values) per class. `memo`
+    keeps the options for the whole search by (class, quota, mode, sign
+    pattern of the values against s), and `patterns` each class's pattern
+    at this s.
+    """
+    options = []
+    for g, (members, quota, subsets, values) in enumerate(classes):
+        if g not in patterns:
+            patterns[g] = tuple((v > s) - (v < s) for row in values for v in row)
+        key = (g, quota, mode, patterns[g])
+        if key not in memo:
+            final, _ = _class_table(members, quota, subsets, values, s, w_members, mode)
+            memo[key] = sorted(final)
+        if not memo[key]:
+            return None
+        options.append(memo[key])
+    return options
+
+
+def _threshold_bounds(modes, windows, outside_top, reach, group_keys, old_overlap):
+    """(mode, lowest, highest) threshold of each mode whose window is not
+    empty, for one count guess.
+
+    `windows[mode]` holds the mode's lowest threshold and how many
+    candidates must reach it, `outside_top` the k+1 highest outside base
+    scores, and `reach[g]` the best score of each member of class g.
+    """
+    best = sorted(outside_top + [r for rs in reach for r in rs], reverse=True)
+    # each manipulator needs more approved candidates at or above s than
+    # its old overlap, which is below its ballot's size
+    ceiling = min(
+        sorted((r for key, rs in zip(group_keys, reach) if i in key for r in rs), reverse=True)[old]
+        for i, old in enumerate(old_overlap)
+    )
+    bounds = []
+    for mode in modes:
+        low, need = windows[mode]
+        high = min(best[need - 1], ceiling) if need <= len(best) else -1
+        if low <= high:
+            bounds.append((mode, low, high))
+    return bounds
+
+
+def _aggregate_classes(instance, mode, group_keys, options, out_gt, out_eq, old_overlap):
+    """Pick one (above, at) option per class, from each class's sorted
+    `options`, satisfying the acceptance inequalities; returns the chosen
+    options or None."""
     t = instance.t
     k = instance.k
-    options = [sorted(final.keys()) for final, _ in tables]
 
     def accept(i_tot, j_tot, iv, jv):
         n_gt = i_tot + out_gt
@@ -985,7 +1087,7 @@ def _aggregate_classes(instance, mode, group_keys, tables, out_gt, out_eq, old_o
             return False
         return True
 
-    chosen = [None] * len(tables)
+    chosen = [None] * len(options)
 
     def walk(g, i_tot, j_tot, iv, jv):
         if mode == "sbcm_unique":
@@ -993,7 +1095,7 @@ def _aggregate_classes(instance, mode, group_keys, tables, out_gt, out_eq, old_o
                 return None
         elif i_tot + out_gt > k - 1:
             return None
-        if g == len(tables):
+        if g == len(options):
             return list(chosen) if accept(i_tot, j_tot, iv, jv) else None
         for above, at in options[g]:
             chosen[g] = (above, at)

@@ -470,7 +470,11 @@ def generate_ccdc_thiele_clique(graph: GraphInstance, rule: Rule = PAV) -> ctl.C
 def generate(kind: str, source, **kwargs):
     if kind not in _REDUCTIONS:
         raise ValueError(f"unknown reduction kind {kind!r}")
-    return _REDUCTIONS[kind][1](source, **kwargs)
+    problem, build, _ = _REDUCTIONS[kind]
+    wanted = Rx3cInstance if problem == "RX3C" else GraphInstance
+    if not isinstance(source, wanted):
+        raise GenerationError(f"{kind} reduces from {problem}, which takes a {wanted.__name__}")
+    return build(source, **kwargs)
 
 
 def source_problem(kind: str) -> str:

@@ -5,6 +5,12 @@ An election object carries "candidates" (array of strings) and "votes"
 "k", "J", "manipulators", "variant", "baseline_committee",
 "unregistered_votes", "unregistered_candidates", and the budget keys.
 Scores serialize as exact "numerator/denominator" strings.
+
+The loaders check each key's JSON type before building anything: labels
+are strings, rosters and ballots are arrays of strings, and sizes and
+budgets are integers, not booleans. A missing or ill-typed key raises
+`ValidationError` naming the key. The instance classes themselves stay
+permissive, so library callers may pass any iterables.
 """
 
 from __future__ import annotations
@@ -25,23 +31,53 @@ def fraction_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _is_labels(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
+def _is_ballots(value) -> bool:
+    return isinstance(value, list) and all(map(_is_labels, value))
+
+
+# JSON types of input keys: (test, what the error message calls it)
+TEXT = (lambda value: isinstance(value, str), "a string")
+LABELS = (_is_labels, "an array of strings")
+BALLOTS = (_is_ballots, "an array of arrays of strings")
+BLOCKS = (lambda value: isinstance(value, list) and all(map(_is_ballots, value)),
+          "an array of arrays of arrays of strings")
+COUNT = (lambda value: isinstance(value, int) and not isinstance(value, bool), "an integer")
+_REQUIRED = object()
+
+
+def field(obj: dict, key: str, kind, default=_REQUIRED, nullable=False):
+    """obj[key] if it has the JSON type `kind` (or is null and `nullable`),
+    else `default` when the key is absent and a default is given."""
+    if key not in obj:
+        if default is _REQUIRED:
+            raise ValidationError(f"missing key {key!r}")
+        return default
+    test, name = kind
+    value = obj[key]
+    if not (test(value) or (nullable and value is None)):
+        raise ValidationError(f"{key!r} must be {name}{' or null' if nullable else ''}")
+    return value
+
+
 def load_election(obj: dict) -> Election:
-    if "candidates" not in obj or "votes" not in obj:
-        raise ValidationError("an election needs 'candidates' and 'votes'")
-    return Election(obj["candidates"], obj["votes"])
+    return Election(field(obj, "candidates", LABELS), field(obj, "votes", BALLOTS))
 
 
 def load_manipulation_instance(obj: dict, rule: Rule, variant=None) -> man.ManipulationInstance:
-    variant = (variant or obj.get("variant", "CBCM")).upper()
+    variant = (variant or field(obj, "variant", TEXT, "CBCM")).upper()
     return man.ManipulationInstance(
         rule,
         variant,
-        obj["candidates"],
-        obj.get("votes", ()),
-        obj["manipulators"],
-        obj["k"],
-        obj.get("baseline_committee"),
-        ballot_blocks=obj.get("ballot_blocks", ()),
+        field(obj, "candidates", LABELS),
+        field(obj, "votes", BALLOTS, ()),
+        field(obj, "manipulators", BALLOTS),
+        field(obj, "k", COUNT),
+        field(obj, "baseline_committee", LABELS, None, nullable=True),
+        ballot_blocks=field(obj, "ballot_blocks", BLOCKS, ()),
     )
 
 
@@ -64,26 +100,26 @@ def manipulation_instance_to_obj(instance: man.ManipulationInstance) -> dict:
 
 
 def load_control_instance(obj: dict, rule: Rule, ctype=None) -> ctl.ControlInstance:
-    ctype = (ctype or obj.get("type", "JCC")).upper()
-    budget_add = obj.get("budget_add")
-    budget_delete = obj.get("budget_delete")
+    ctype = (ctype or field(obj, "type", TEXT, "JCC")).upper()
+    budget_add = field(obj, "budget_add", COUNT, None, nullable=True)
+    budget_delete = field(obj, "budget_delete", COUNT, None, nullable=True)
     if "budget" in obj:
         adds, deletes = ctl.ACTIONS.get(ctype, (None, None))
         if (adds is None) == (deletes is None):
             raise ValidationError(f"{ctype} needs budget_add/budget_delete, not 'budget'")
         if adds:
-            budget_add = obj["budget"]
+            budget_add = field(obj, "budget", COUNT)
         else:
-            budget_delete = obj["budget"]
+            budget_delete = field(obj, "budget", COUNT)
     return ctl.ControlInstance(
         ctype,
         rule,
-        obj["candidates"],
-        obj.get("votes", ()),
-        obj["k"],
-        obj["J"],
-        unregistered_candidates=obj.get("unregistered_candidates", ()),
-        unregistered_votes=obj.get("unregistered_votes", ()),
+        field(obj, "candidates", LABELS),
+        field(obj, "votes", BALLOTS, ()),
+        field(obj, "k", COUNT),
+        field(obj, "J", LABELS),
+        unregistered_candidates=field(obj, "unregistered_candidates", LABELS, ()),
+        unregistered_votes=field(obj, "unregistered_votes", BALLOTS, ()),
         budget_add=budget_add,
         budget_delete=budget_delete,
     )
@@ -123,9 +159,11 @@ def instance_to_obj(instance) -> dict:
 
 def load_source(obj: dict):
     if "universe" in obj:
-        return red.Rx3cInstance(obj["universe"], [tuple(s) for s in obj["sets"]])
+        return red.Rx3cInstance(field(obj, "universe", LABELS), field(obj, "sets", BALLOTS))
     if "vertices" in obj:
-        return red.GraphInstance(obj["vertices"], [tuple(e) for e in obj["edges"]], obj.get("kappa", 0))
+        return red.GraphInstance(
+            field(obj, "vertices", LABELS), field(obj, "edges", BALLOTS), field(obj, "kappa", COUNT, 0)
+        )
     raise ValidationError("a source is a graph ('vertices'/'edges') or an RX3C system ('universe'/'sets')")
 
 

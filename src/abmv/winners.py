@@ -286,7 +286,7 @@ def _jcc_fptn(rule: Rule, instance: JccInstance, cap) -> bool:
     election, k, wanted = instance.election, instance.k, instance.distinguished
     limit = effective_cap(cap if cap is not None else GUESS_CAP)
     classes, _ = _class_layout(election)
-    if len(classes) > limit or 2 ** election.n > limit:
+    if len(classes) > limit:
         raise ResourceCapError("too many approval classes for the fptn path")
     optimum = optimal_score_by_classes(rule, election, k, cap)
     by_key = dict(classes)

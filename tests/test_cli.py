@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import abmv
 from abmv import cli, serialize, winners
@@ -128,6 +132,87 @@ def test_non_object_input_exits_two(tmp_path, capsys, args, document):
     path.write_text(json.dumps(document))
     assert cli.main(args + [str(path)]) == cli.EXIT_USAGE
     assert capsys.readouterr().err.startswith("error:")
+
+
+MANIP = {"candidates": ["a", "b"], "votes": [["a"]], "manipulators": [["b"]], "k": 1,
+         "baseline_committee": ["a"]}
+
+
+@pytest.mark.parametrize(
+    "args,document,key",
+    [
+        (["winners", "--rule", "av", "-k", "1"], {"candidates": ["a", 1], "votes": []}, "candidates"),
+        (["winners", "--rule", "av", "-k", "1"], {"candidates": ["a"], "votes": None}, "votes"),
+        (["winners", "--rule", "av", "-k", "1"], {"candidates": ["a"], "votes": [[["a"]]]}, "votes"),
+        (["winners", "--rule", "av", "-k", "1"], {"candidates": "ab", "votes": []}, "candidates"),
+        (["winners", "--rule", "av", "-k", "1"], {"candidates": ["a", "b"], "votes": ["ab"]}, "votes"),
+        (["solve-manip", "--rule", "sav"], {**MANIP, "k": True}, "k"),
+        (["jcc", "--rule", "av"], {"candidates": ["a"], "votes": [], "J": "a", "k": 1}, "J"),
+        (["solve-control", "--rule", "sav"],
+         {"type": "CCDV", "candidates": ["a"], "votes": [["a"]], "k": 1, "J": ["a"], "budget": 1.5},
+         "budget"),
+        (["gen", "--kind", "CcdvSavRx3c"], {"universe": ["a", "b", "c"], "sets": "abc"}, "sets"),
+    ],
+    ids=["label-not-string", "votes-null", "nested-ballot", "roster-string", "ballot-string",
+         "k-bool", "J-string", "budget-float", "sets-string"],
+)
+def test_ill_typed_key_exits_two_naming_it(tmp_path, capsys, args, document, key):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(document))
+    assert cli.main(args + [str(path)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: '{key}' must be")
+
+
+LABEL = st.sampled_from(["a", "b", "c", ""])
+JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.floats(allow_nan=False, width=16) | LABEL,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(LABEL, inner, max_size=3),
+    max_leaves=10,
+)
+INPUT_KEYS = [
+    "candidates", "votes", "manipulators", "k", "J", "variant", "baseline_committee",
+    "ballot_blocks", "type", "budget", "budget_add", "budget_delete", "unregistered_votes",
+    "unregistered_candidates", "universe", "sets", "vertices", "edges", "kappa",
+]
+# any JSON, or objects over the input keys with values that often have the right type
+INPUT_DOCUMENT = JSON_VALUE | st.dictionaries(
+    st.sampled_from(INPUT_KEYS),
+    st.lists(LABEL, max_size=4) | st.lists(st.lists(LABEL, max_size=3), max_size=4)
+    | st.sampled_from(["CBCM", "SBCM", "SDCM", "CCAV", "CCDC", "JCC"]) | JSON_VALUE,
+    max_size=10,
+)
+FILE_COMMANDS = [
+    ["winners", "--rule", "sav", "-k", "1"],
+    ["score", "--rule", "av", "--candidate", "a"],
+    ["jcc", "--rule", "pav"],
+    ["solve-manip", "--rule", "sav"],
+    ["solve-control", "--rule", "mav"],
+    ["gen", "--kind", "CcdvSavRx3c"],
+    ["gen", "--kind", "ManipAvVc"],
+]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(args=st.sampled_from(FILE_COMMANDS), document=INPUT_DOCUMENT)
+def test_no_input_file_is_an_internal_error(args, document):
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "input.json")
+        with open(path, "w") as handle:
+            json.dump(document, handle)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(args + [path])
+    assert code != cli.EXIT_INTERNAL, err.getvalue()
+    if code == cli.EXIT_USAGE:
+        assert err.getvalue().startswith("error:")
+
+
+def test_gen_rejects_a_source_of_the_other_problem(tmp_path, capsys):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"vertices": [], "edges": []}))
+    assert cli.main(["gen", "--kind", "CcdvSavRx3c", str(path)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "error: CcdvSavRx3c reduces from RX3C, which takes a Rx3cInstance\n"
 
 
 def test_verify_suite_exit_zero(example_files):

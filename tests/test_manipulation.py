@@ -45,6 +45,40 @@ def random_instance(rng, rule, variant, m_max=5, n_max=4, t_max=2):
     return ManipulationInstance(rule, variant, cands, honest, manip, k, committee)
 
 
+def yes_leaning_instance(rng, rule, variant, t, pad):
+    """A draw that is YES far more often than `random_instance`.
+
+    Honest votes back the first k candidates; each manipulator approves
+    some of one or two target candidates and dilutes its ballot with
+    fillers, so that concentrating the recast ballots can lift the
+    targets. `pad` dummies extend the roster. Brute force decides the
+    label; the shape is only a bias.
+    """
+    m = rng.randint(4, 6)
+    cands = [f"c{i}" for i in range(m)]
+    k = rng.randint(1, 2)
+    backed = cands[:k]
+    targets = cands[k : k + rng.randint(1, 2)]
+    fillers = cands[len(backed) + len(targets) :]
+    honest = [
+        frozenset(backed + rng.sample(fillers, rng.randint(0, min(1, len(fillers)))))
+        for _ in range(rng.randint(1, 3))
+    ]
+    honest += [
+        frozenset(rng.sample(targets, 1) + rng.sample(cands, rng.randint(0, 2)))
+        for _ in range(rng.randint(0, 2))
+    ]
+    manip = []
+    for _ in range(t):
+        ballot = set(rng.sample(targets, rng.randint(1, len(targets))))
+        ballot |= set(rng.sample(fillers + backed, rng.randint(1, min(3, len(fillers + backed)))))
+        manip.append(frozenset(ballot))
+    roster = core.pad_with_dummies(Election(cands, []), pad).candidates
+    ws = winners.winning_committees(rule, Election(roster, honest + manip), k)
+    committee = frozenset(rng.choice(ws.committees))
+    return ManipulationInstance(rule, variant, roster, honest, manip, k, committee)
+
+
 class TestPreferences:
     def test_cardinality(self):
         assert prefers("cardinality", {"a", "b"}, {"a", "b", "c"}, {"a", "x", "y"})
@@ -178,12 +212,20 @@ class TestSavNsavConstManipulators:
         verdict = solve_savnsav_const_manipulators(inst)
         assert verdict.yes and certify_manipulation(inst, verdict.witness)
 
+    # seeds of `random_instance` draws with three manipulators, none of whose
+    # ballots lies inside or contains the committee, so that the search runs
+    THREE_MANIPULATOR_DRAWS = (
+        10403, 11251, 14938, 18886, 19057, 20242, 21212, 25258, 25501, 26415, 29523, 31814,
+        37003, 42217, 42728, 43103, 45476, 53701, 54014, 56731,
+    )
+
     def test_agrees_with_bruteforce(self):
         rng = random.Random(43)
-        for _ in range(60):
+        draws = [rng] * 60 + [random.Random(f"savnsav-t3:{i}") for i in self.THREE_MANIPULATOR_DRAWS]
+        for rng in draws:
             rule = rng.choice([SAV, NSAV])
             variant = rng.choice(["CBCM", "SBCM"])
-            inst = random_instance(rng, rule, variant, m_max=4, n_max=4, t_max=2)
+            inst = random_instance(rng, rule, variant, m_max=4, n_max=4, t_max=3)
             assert (
                 solve_savnsav_const_manipulators(inst).yes
                 == solve_manipulation_bruteforce(inst).yes
@@ -568,3 +610,34 @@ def test_witness_pin():
             witness = v.witness and tuple(tuple(sorted(b)) for b in v.witness)
             digest.update(repr((i, v.yes, witness)).encode())
     assert digest.hexdigest() == PIN_SHA256
+
+
+# (rule, variant, t, dummies) -> draws of `yes_leaning_instance` that brute
+# force answers YES
+SAVNSAV_PIN_DRAWS = {
+    (SAV, "CBCM", 3, 0): (36, 39, 43, 45, 61, 109, 118),
+    (NSAV, "CBCM", 3, 0): (27, 51, 82),
+    (SAV, "SBCM", 3, 0): (76,),
+    (NSAV, "SBCM", 3, 0): (12,),
+    (NSAV, "CBCM", 3, 20): (45, 61, 93),
+    (NSAV, "SBCM", 3, 20): (115,),
+    (NSAV, "CBCM", 2, 200): (34, 51),
+    (NSAV, "SBCM", 2, 200): (38, 81),
+}
+SAVNSAV_PIN_SHA256 = "36c4eb4bcd75c9850b20db3768d7e44529f52af34273f6591103918208e8ebba"
+
+
+def test_savnsav_witness_pin():
+    """Verdicts and witnesses of the SAV/NSAV constant-manipulator search
+    on YES instances with three manipulators, SBCM and padded NSAV
+    rosters, as recorded before its threshold window and options memo."""
+    digest = hashlib.sha256()
+    for (rule, variant, t, pad), yes_draws in SAVNSAV_PIN_DRAWS.items():
+        for i in yes_draws:
+            rng = random.Random(f"savnsav-pin:{rule.kind}:{variant}:{t}:{pad}:{i}")
+            inst = yes_leaning_instance(rng, rule, variant, t, pad)
+            verdict = solve_savnsav_const_manipulators(inst)
+            assert verdict.yes and certify_manipulation(inst, verdict.witness)
+            witness = verdict.witness and tuple(tuple(sorted(b)) for b in verdict.witness)
+            digest.update(repr((rule.kind, variant, t, pad, i, verdict.yes, witness)).encode())
+    assert digest.hexdigest() == SAVNSAV_PIN_SHA256

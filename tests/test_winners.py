@@ -193,6 +193,18 @@ class TestJcc:
             for rule in (ABCCV, PAV, MAV):
                 assert j_cc(rule, inst, "fptn") == j_cc(rule, inst, "bruteforce")
 
+    def test_fptn_takes_more_than_twenty_votes(self):
+        # the fptn guard counts approval classes, not votes
+        rng = random.Random(21)
+        cands = [f"c{i}" for i in range(8)]
+        for _ in range(4):
+            e = Election(cands, [rng.sample(cands, rng.randint(1, 3)) for _ in range(21)])
+            top = max(cands, key=lambda c: len(e.approver_sets[c]))
+            for rule in (ABCCV, PAV, MAV):
+                for k in (2, 3):
+                    inst = JccInstance(e, k, {top})
+                    assert j_cc(rule, inst, "fptn") == j_cc(rule, inst, "bruteforce")
+
 
 def test_clone_swap_preserves_winning():
     # candidates with identical approver sets are interchangeable in winners
