@@ -504,13 +504,7 @@ def solve_manipulation_bruteforce(
     limit = effective_cap(cap if cap is not None else PROFILE_CAP)
     bases, extras = _ballot_options(instance, pool, pool_override)
     checker = _ProfileChecker(instance, cap)
-    extra_count = 1
-    for ex in extras:
-        extra_count *= len(ex)
     if profile_mode == "split":
-        total = extra_count * len(bases) ** instance.t
-        if total > limit:
-            raise ResourceCapError(f"{total} ballot profiles exceed the cap {limit}")
         pools = []
         for i in range(instance.t):
             seen, options = set(), []
@@ -521,7 +515,12 @@ def solve_manipulation_bruteforce(
                         seen.add(ballot)
                         options.append(ballot)
             pools.append(options)
-        if all(options == pools[0] for options in pools):
+        shared = all(options == pools[0] for options in pools)
+        # the cap counts the profiles the walk visits
+        total = math.comb(len(pools[0]) + instance.t - 1, instance.t) if shared else math.prod(map(len, pools))
+        if total > limit:
+            raise ResourceCapError(f"{total} ballot profiles exceed the cap {limit}")
+        if shared:
             # acceptance and certification see only the multiset of cast
             # ballots, so the first hit in product order is nondecreasing
             # and the multiset walk meets it first too
@@ -538,7 +537,7 @@ def solve_manipulation_bruteforce(
         return NO
     if profile_mode != "common":
         raise ValueError(f"unknown profile mode {profile_mode!r}")
-    total = len(bases) * extra_count
+    total = len(bases) * math.prod(map(len, extras))
     if total > limit:
         raise ResourceCapError(f"{total} ballot profiles exceed the cap {limit}")
     for base in bases:

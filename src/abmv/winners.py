@@ -4,9 +4,11 @@
 checked against: exhaustive search over all k-committees, with an
 additive shortcut through the threshold partition that must agree with
 it. `j_cc` decides whether a candidate set J is contained in every
-winning k-committee, either by brute force or by the per-approval-class
-integer programs that are fixed-parameter tractable in the number of
-votes.
+winning k-committee, either by brute force or from the optimal
+per-approval-class count vectors. The class-count enumeration has at
+most 2^n classes for n votes, so it walks polynomially many vectors in
+the number of candidates for a fixed n; it is not the integer-program
+bound of the paper's fixed-parameter algorithm.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from abmv.core import (
     ValidationError,
     committee_score,
 )
-from abmv import ipcore
 
 
 @dataclass(frozen=True)
@@ -152,17 +153,8 @@ def mav_single_winners(election: Election) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
-# Optimal committee score through approval classes (FPT in the vote count)
-
-
-def _class_layout(election: Election):
-    """Stable list of (approver-index-set, size) plus per-vote class ids."""
-    classes = list(election.approval_classes.items())
-    per_vote = [[] for _ in range(election.n)]
-    for g, (key, members) in enumerate(classes):
-        for vid in key:
-            per_vote[vid].append(g)
-    return classes, per_vote
+# Optimal committee score through approval classes (polynomial in the
+# candidates for a fixed vote count)
 
 
 def optimal_count_vectors(rule: Rule, election: Election, k: int, classes, cap: Optional[int] = None) -> tuple:
@@ -256,11 +248,13 @@ def optimal_score_by_classes(rule: Rule, election: Election, k: int, cap: Option
 def j_cc(rule: Rule, instance: JccInstance, algo: str = "auto", cap: Optional[int] = None) -> bool:
     """True iff J is contained in every winning k-committee.
 
-    `bruteforce` enumerates winners; `fptn` runs the per-approval-class
-    optimality programs (ABCCV through residual elections, Thiele rules
-    through the omega-sum program, MAV through per-vote distance rows)
-    and is only defined for those rules — additive rules are answered
-    from the threshold partition in constant extra work.
+    `bruteforce` enumerates winners; `fptn` enumerates the optimal
+    per-approval-class count vectors (`optimal_count_vectors`) and checks
+    that each takes all of every class holding a member of J. The walk is
+    polynomial in the number of candidates for a fixed number of votes,
+    not the paper's integer-program bound. `fptn` is only defined for
+    the non-additive rules — additive rules are answered from the
+    threshold partition in constant extra work.
     """
     election, k, wanted = instance.election, instance.k, instance.distinguished
     if algo == "auto":
@@ -283,116 +277,17 @@ def j_cc(rule: Rule, instance: JccInstance, algo: str = "auto", cap: Optional[in
 
 
 def _jcc_fptn(rule: Rule, instance: JccInstance, cap) -> bool:
+    """J lies in every winning committee iff every optimal count vector
+    takes all of each class that holds a member of J.
+
+    Clones are interchangeable, so an optimal committee taking fewer than
+    all of such a class can swap the missing J member in for a clone.
+    """
     election, k, wanted = instance.election, instance.k, instance.distinguished
     limit = effective_cap(cap if cap is not None else GUESS_CAP)
-    classes, _ = _class_layout(election)
+    classes = tuple(election.approval_classes.values())
     if len(classes) > limit:
         raise ResourceCapError("too many approval classes for the fptn path")
-    optimum = optimal_score_by_classes(rule, election, k, cap)
-    by_key = dict(classes)
-    tagged = [key for key, members in classes if wanted & frozenset(members)]
-    if rule.kind == "ABCCV":
-        if sum(len(by_key[key]) for key in tagged) > k:
-            return False
-    for key in tagged:
-        if _optimal_committee_shorting_class(rule, instance, key, optimum):
-            return False
-    return True
-
-
-def _optimal_committee_shorting_class(rule, instance, short_key, optimum) -> bool:
-    """Is there an optimal k-committee taking fewer than all of one class?
-
-    If the shorted class holds a distinguished candidate, clone-swapping
-    turns such a committee into an optimal one missing part of J.
-    """
-    election, k = instance.election, instance.k
-    if rule.kind == "ABCCV":
-        return _abccv_short_check(election, k, short_key, optimum)
-    if rule.kind == "MAV":
-        program = _mav_short_program(election, k, short_key, optimum)
-    else:
-        program = _thiele_short_program(rule, election, k, short_key, optimum)
-    return ipcore.solve_ip(program).feasible
-
-
-def _short_class_variables(election, k, short_key):
-    """Per-class member counts summing to k; the `short_key` class (None
-    shorts none) must leave at least one member out."""
-    classes, per_vote = _class_layout(election)
-    program = ipcore.IntegerProgram()
-    names = []
-    for g, (key, members) in enumerate(classes):
-        upper = len(members) - 1 if key == short_key else len(members)
-        names.append(program.add_variable(f"x{g}", 0, upper))
-    program.add_constraint([(x, 1) for x in names], "=", k)
-    return program, names, classes, per_vote
-
-
-def _mav_short_program(election, k, short_key, optimum):
-    program, names, classes, per_vote = _short_class_variables(election, k, short_key)
-    for vid, vote in enumerate(election.votes):
-        inside = set(per_vote[vid])
-        coeffs = [(names[g], -1 if g in inside else 1) for g in range(len(classes))]
-        program.add_constraint(coeffs, "<=", optimum - len(vote))
-    return program
-
-
-def _thiele_short_program(rule, election, k, short_key, optimum):
-    """Omega-sum formulation: prefix indicators expand omega over integer overlaps.
-
-    No overlap passes the largest vote, so the indicators stop there when
-    it is below k.
-    """
-    program, names, classes, per_vote = _short_class_variables(election, k, short_key)
-    scale, omega = core.omega_table(rule, min(k, max((len(v) for v in election.votes), default=0)))
-    total = []
-    for vid in range(election.n):
-        xv = program.add_variable(f"v{vid}", 0, k)
-        coeffs = [(names[g], 1) for g in per_vote[vid]] + [(xv, -1)]
-        program.add_constraint(coeffs, "=", 0)
-        prev = None
-        zs = []
-        for i in range(1, len(omega)):
-            z = program.add_variable(f"z{vid}_{i}", 0, 1)
-            zs.append(z)
-            if prev is not None:
-                program.add_constraint([(z, 1), (prev, -1)], "<=", 0)
-            total.append((z, omega[i] - omega[i - 1]))
-            prev = z
-        program.add_constraint([(z, 1) for z in zs] + [(xv, -1)], "=", 0)
-    program.add_constraint(total, "=", optimum * scale)
-    return program
-
-
-def _abccv_short_check(election, k, short_key, optimum) -> bool:
-    """Residual-election feasibility for every shortfall size of one class."""
-    short_members = set(election.approval_classes[short_key])
-    size = len(short_members)
-    rest = [c for c in election.candidates if c not in short_members]
-    for taken in range(size):
-        if taken == 0:
-            vote_ids = range(election.n)
-            target = optimum
-        else:
-            vote_ids = [i for i in range(election.n) if i not in short_key]
-            target = optimum - len(short_key)
-        seats = k - taken
-        if seats < 0 or seats > len(rest) or target < 0 or target > len(list(vote_ids)):
-            continue
-        residual = Election(rest, [election.votes[i] & set(rest) for i in vote_ids])
-        if _abccv_exact_cover_program(residual, seats, target):
-            return True
-    return False
-
-
-def _abccv_exact_cover_program(election, seats, target) -> bool:
-    program, names, _, per_vote = _short_class_variables(election, seats, None)
-    satisfied = []
-    for vid in range(election.n):
-        y = program.add_variable(f"y{vid}", 0, 1)
-        satisfied.append(y)
-        coeffs = [(y, 1)] + [(names[g], -1) for g in per_vote[vid]]
-        program.add_constraint(coeffs, "<=", 0)
-    program.add_constraint([(y, 1) for y in satisfied], "=", target)
-    return ipcore.solve_ip(program).feasible
+    _, vectors = optimal_count_vectors(rule, election, k, classes, cap)
+    tagged = [g for g, members in enumerate(classes) if not wanted.isdisjoint(members)]
+    return all(v[g] == len(classes[g]) for v in vectors for g in tagged)

@@ -521,16 +521,16 @@ def test_av_count_vectors_keep_fresh_checker_verdicts(inst, pool):
     assert len(partitions) <= (inst.t + 1) ** u
 
 
-def test_split_cap_counts_ordered_profiles(monkeypatch):
-    # 8 ballots over the union {a, b, c} and t = 3: the cap still counts
-    # 8**3 = 512 ordered profiles, although the search visits 120 multisets
-    # and, under AV, decides only their 4**3 = 64 approval-count vectors
+def test_split_cap_counts_walked_profiles(monkeypatch):
+    # 8 ballots over the union {a, b, c} and t = 3: the cap counts the
+    # C(10, 3) = 120 multisets the search visits, not 8**3 = 512 ordered
+    # profiles; under AV it decides only their 4**3 = 64 count vectors
     monkeypatch.delenv("ABMV_NODE_CAP", raising=False)
     inst = ManipulationInstance(
         AV, "CBCM", ["a", "b", "c", "d"], [{"d"}] * 3, [{"a", "b"}, {"b", "c"}, {"a", "c"}], 1, {"d"}
     )
-    with pytest.raises(ResourceCapError, match="^512 ballot profiles exceed the cap 511$"):
-        solve_manipulation_bruteforce(inst, cap=511)
+    with pytest.raises(ResourceCapError, match="^120 ballot profiles exceed the cap 119$"):
+        solve_manipulation_bruteforce(inst, cap=119)
     walked, decided = [], []
     walk = man.combinations_with_replacement
     accepts = man._ProfileChecker.accepts
@@ -546,9 +546,24 @@ def test_split_cap_counts_ordered_profiles(monkeypatch):
 
     monkeypatch.setattr(man, "combinations_with_replacement", counted_walk)
     monkeypatch.setattr(man._ProfileChecker, "accepts", counted)
-    assert not solve_manipulation_bruteforce(inst, cap=512).yes
+    assert not solve_manipulation_bruteforce(inst, cap=120).yes
     assert len(walked) == 120
     assert len(decided) == 64
+
+
+def test_split_cap_counts_distinct_ballots_per_pool(monkeypatch):
+    # the first manipulator's block {a} lies in the base pool {a, b}, so its
+    # 4 bases x 2 extras give 4 distinct ballots; the second's block {e}
+    # gives 8. The pools differ, so the walk is their 4 * 8 = 32 products
+    # (the count before pools were deduplicated was 2 * 2 * 4**2 = 64)
+    monkeypatch.delenv("ABMV_NODE_CAP", raising=False)
+    inst = ManipulationInstance(
+        AV, "CBCM", ["a", "b", "c", "d", "e"], [{"d"}] * 3, [{"a"}, {"b"}], 1, {"d"},
+        ballot_blocks=[[{"a"}], [{"e"}]],
+    )
+    with pytest.raises(ResourceCapError, match="^32 ballot profiles exceed the cap 31$"):
+        solve_manipulation_bruteforce(inst, cap=31)
+    assert not solve_manipulation_bruteforce(inst, cap=32).yes
 
 
 def test_padded_sdcm_certifies_without_the_partition(monkeypatch):

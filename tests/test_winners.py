@@ -303,6 +303,140 @@ class TestClassCountEnumeration:
             assert j_cc(rule, inst, "fptn") == j_cc(rule, inst, "bruteforce")
 
 
+FPTN_RULES = (ABCCV, PAV, MAV, COPRIME_THIELE)
+
+
+@st.composite
+def cloned_jcc(draw):
+    """Up to 4 approval patterns, each cast as 1-3 clones, 0-4 votes over
+    the patterns, any k up to m and J drawn from the whole roster."""
+    patterns = draw(st.integers(1, 4))
+    names = [[f"p{i}_{j}" for j in range(draw(st.integers(1, 3)))] for i in range(patterns)]
+    ballots = draw(st.lists(st.frozensets(st.integers(0, patterns - 1)), max_size=4))
+    e = Election([c for group in names for c in group], [[c for i in b for c in names[i]] for b in ballots])
+    rule = draw(st.sampled_from(FPTN_RULES))
+    # COPRIME_THIELE's table reaches overlap 7
+    k = draw(st.integers(1, e.m if rule is not COPRIME_THIELE else min(e.m, 7)))
+    wanted = draw(st.frozensets(st.sampled_from(e.candidates), min_size=1, max_size=k))
+    return rule, JccInstance(e, k, wanted)
+
+
+class TestFptnDifferential:
+    """fptn J-CC against exhaustive winners, which share no code with the
+    class-count enumeration."""
+
+    @given(cloned_jcc())
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_on_clone_heavy_rosters(self, case):
+        rule, inst = case
+        assert j_cc(rule, inst, "fptn") == j_cc(rule, inst, "bruteforce")
+
+    @pytest.mark.parametrize("rule", FPTN_RULES, ids=["abccv", "pav", "mav", "coprime-thiele"])
+    def test_zero_votes_and_whole_roster(self, rule):
+        # with no votes every committee wins, so J is in all of them only at k = m
+        e = Election(["a", "b", "c", "d"], [])
+        for k in range(1, 5):
+            for wanted in ({"a"}, {"a", "d"}):
+                if len(wanted) <= k:
+                    inst = JccInstance(e, k, wanted)
+                    assert j_cc(rule, inst, "fptn") is (k == 4) is j_cc(rule, inst, "bruteforce")
+        voted = Election(["a", "b", "c", "d"], [{"a"}, {"b", "c"}])
+        assert j_cc(rule, JccInstance(voted, 4, {"d"}), "fptn") is True
+
+    def test_abccv_tagged_classes_larger_than_k(self):
+        # J's classes hold 3 + 2 clones against k = 2 (and 3 clones against k = 2)
+        e = Election(["a1", "a2", "a3", "b1", "b2", "c"], [{"a1", "a2", "a3"}, {"b1", "b2"}, {"c"}])
+        for wanted in ({"a1"}, {"a1", "b1"}):
+            inst = JccInstance(e, 2, wanted)
+            assert j_cc(ABCCV, inst, "fptn") is False is j_cc(ABCCV, inst, "bruteforce")
+        inst = JccInstance(e, 5, {"a1", "b1"})
+        assert j_cc(ABCCV, inst, "fptn") is j_cc(ABCCV, inst, "bruteforce")
+
+    def test_j_spread_over_classes(self):
+        # under the Thiele rules {a, b, c} is the one winner at k = 3, so J
+        # spread over those three classes is in it; MAV prefers d1 to c
+        e = Election(["a", "b", "c", "d1", "d2"], [{"a"}, {"a"}, {"b"}, {"b"}, {"c"}, {"c"}, {"d1", "d2"}])
+        for rule in FPTN_RULES:
+            for wanted in ({"a", "b", "c"}, {"a", "d1"}, {"b", "d1", "d2"}):
+                inst = JccInstance(e, 3, wanted)
+                expected = j_cc(rule, inst, "bruteforce")
+                assert j_cc(rule, inst, "fptn") is expected
+                if wanted == {"a", "b", "c"}:
+                    assert expected is (rule is not MAV)
+
+    def test_mav_ties(self):
+        # disjoint votes of one size: every 1-committee ties under MAV
+        e = Election(["a", "b", "c", "d"], [{"a", "b"}, {"c", "d"}])
+        ws = winning_committees(MAV, e, 1, strategy="exhaustive")
+        assert len(ws.committees) == 4
+        for k in (1, 2, 3):
+            for wanted in ({"a"}, {"a", "c"}):
+                if len(wanted) <= k:
+                    inst = JccInstance(e, k, wanted)
+                    assert j_cc(MAV, inst, "fptn") is j_cc(MAV, inst, "bruteforce")
+
+
+# The Thiele shorting program that fptn J-CC once solved per class of J:
+# "is there an optimal k-committee taking fewer than all of one class?".
+# fptn now reads that from the optimal count vectors; the program stays
+# here as a fixed `ipcore` workload whose node counts are pinned below.
+
+
+def _class_layout(election: Election):
+    """Stable list of (approver-index-set, size) plus per-vote class ids."""
+    classes = list(election.approval_classes.items())
+    per_vote = [[] for _ in range(election.n)]
+    for g, (key, members) in enumerate(classes):
+        for vid in key:
+            per_vote[vid].append(g)
+    return classes, per_vote
+
+
+def _short_class_variables(election, k, short_key):
+    """Per-class member counts summing to k; the `short_key` class (None
+    shorts none) must leave at least one member out."""
+    classes, per_vote = _class_layout(election)
+    program = ipcore.IntegerProgram()
+    names = []
+    for g, (key, members) in enumerate(classes):
+        upper = len(members) - 1 if key == short_key else len(members)
+        names.append(program.add_variable(f"x{g}", 0, upper))
+    program.add_constraint([(x, 1) for x in names], "=", k)
+    return program, names, classes, per_vote
+
+
+def _thiele_short_program(rule, election, k, short_key, optimum):
+    """Omega-sum formulation: prefix indicators expand omega over integer overlaps.
+
+    No overlap passes the largest vote, so the indicators stop there when
+    it is below k.
+    """
+    program, names, classes, per_vote = _short_class_variables(election, k, short_key)
+    scale, omega = core.omega_table(rule, min(k, max((len(v) for v in election.votes), default=0)))
+    total = []
+    for vid in range(election.n):
+        xv = program.add_variable(f"v{vid}", 0, k)
+        coeffs = [(names[g], 1) for g in per_vote[vid]] + [(xv, -1)]
+        program.add_constraint(coeffs, "=", 0)
+        prev = None
+        zs = []
+        for i in range(1, len(omega)):
+            z = program.add_variable(f"z{vid}_{i}", 0, 1)
+            zs.append(z)
+            if prev is not None:
+                program.add_constraint([(z, 1), (prev, -1)], "<=", 0)
+            total.append((z, omega[i] - omega[i - 1]))
+            prev = z
+        program.add_constraint([(z, 1) for z in zs] + [(xv, -1)], "=", 0)
+    program.add_constraint(total, "=", optimum * scale)
+    return program
+
+
+@pytest.fixture
+def thiele_short_program():
+    return _thiele_short_program
+
+
 # (rule, nodes): what `solve_ip` branched through on the Thiele shorting
 # program below when it propagated by full sweeps; a propagation that
 # tightens more or less than the full-sweep fixpoint moves these counts
@@ -310,31 +444,33 @@ SHORT_PROGRAM_NODES = [(PAV, 219), (COPRIME_THIELE, 187)]
 
 
 @pytest.mark.parametrize("rule, nodes", SHORT_PROGRAM_NODES, ids=["pav", "coprime-thiele"])
-def test_thiele_short_program_node_count_is_pinned(rule, nodes, monkeypatch):
+def test_thiele_short_program_node_count_is_pinned(rule, nodes, thiele_short_program, monkeypatch):
     monkeypatch.delenv("ABMV_NODE_CAP", raising=False)
     e = Election(
         [f"c{i}" for i in range(9)],
         [{"c0", "c1", "c2"}, {"c2", "c3"}, {"c3", "c4", "c5", "c6"}, {"c0", "c6", "c7"}, {"c1"}],
     )
     optimum = winners.optimal_score_by_classes(rule, e, 4)
-    program = winners._thiele_short_program(rule, e, 4, e.approver_sets["c2"], optimum)
+    program = thiele_short_program(rule, e, 4, e.approver_sets["c2"], optimum)
     assert ipcore.solve_ip(program, node_cap=nodes).feasible
     with pytest.raises(ResourceCapError):
         ipcore.solve_ip(program, node_cap=nodes - 1)
 
 
-def test_deep_jcc_program_node_count_is_pinned(monkeypatch):
-    # the 1,100-class bit-pattern election: c1's class gets one shorting
-    # program, and it needs 1,024 nodes
+def test_deep_jcc_program_node_count_is_pinned(thiele_short_program, monkeypatch):
+    # the 1,100-class bit-pattern election: the shorting program for c1's
+    # class needs 1,024 nodes, and fptn J-CC decides it with no program
     monkeypatch.delenv("ABMV_NODE_CAP", raising=False)
     candidates = [f"c{i}" for i in range(1100)]
     votes = [{f"c{i}" for i in range(1100) if i >> b & 1} for b in range(11)]
-    inst = JccInstance(Election(candidates, votes), 1, {"c1"})
-    monkeypatch.setattr(ipcore, "IP_NODE_CAP", 1024)
-    assert j_cc(PAV, inst, "fptn") is False
-    monkeypatch.setattr(ipcore, "IP_NODE_CAP", 1023)
+    e = Election(candidates, votes)
+    optimum = winners.optimal_score_by_classes(PAV, e, 1)
+    program = thiele_short_program(PAV, e, 1, e.approver_sets["c1"], optimum)
+    assert ipcore.solve_ip(program, node_cap=1024).feasible
     with pytest.raises(ResourceCapError):
-        j_cc(PAV, inst, "fptn")
+        ipcore.solve_ip(program, node_cap=1023)
+    monkeypatch.setattr(ipcore, "IP_NODE_CAP", 1)
+    assert j_cc(PAV, JccInstance(e, 1, {"c1"}), "fptn") is False
 
 
 # clone elections with C(m, k) > 2,500 committees, too many for the
