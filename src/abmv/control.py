@@ -488,27 +488,25 @@ def solve_ccadv_additive_fpt(instance: ControlInstance, cap: Optional[int] = Non
 
 
 # ---------------------------------------------------------------------------
-# Combined voter control for Thiele rules: guess the exact winning collection
-
-
-# collection guessing scores every k-committee in each of its programs
-COLLECTION_COMMITTEES = 40
+# Combined voter control for Thiele rules: guess a winning committee with J
 
 
 def thiele_fpt_refusal(instance: ControlInstance) -> Optional[str]:
     """Why `solve_ccadv_thiele_fpt` refuses the instance up front, or None.
 
-    Its `cap` bounds each program's nodes; this bounds the guesses, one
-    per family of the committees that contain J."""
+    Its `cap` bounds each program's nodes; this bounds the rows of all its
+    programs, one per anchor committee and k-committee."""
     m, k, j = len(instance.registered_candidates), instance.k, len(instance.distinguished)
-    if math.comb(m, k) > COLLECTION_COMMITTEES:
-        return "committee space too large for collection guessing"
-    if 2 ** math.comb(m - j, k - j) > effective_cap(GUESS_CAP):
-        return "collection guess space exceeds the cap"
+    if math.comb(m - j, k - j) * math.comb(m, k) > effective_cap(GUESS_CAP):
+        return "anchor guesses times committees exceed the cap"
     return None
 
 
 def solve_ccadv_thiele_fpt(instance: ControlInstance, cap: Optional[int] = None) -> Verdict:
+    """CCAV/CCDV/CCADV for Thiele rules. J lies in every winning committee
+    exactly when some committee W* containing J scores strictly above every
+    committee without J (any winner holding J is such a W*), so guess W*
+    and solve the add/delete counting program that keeps it ahead."""
     if not instance.rule.is_thiele_family:
         raise UnsupportedRuleError("Thiele-family rules only")
     if instance.ctype not in VOTER_TYPES:
@@ -520,6 +518,7 @@ def solve_ccadv_thiele_fpt(instance: ControlInstance, cap: Optional[int] = None)
     k = instance.k
     all_committees = [frozenset(w) for w in combinations(election.candidates, k)]
     with_j = [w for w in all_committees if instance.distinguished <= w]
+    without_j = [w for w in all_committees if not instance.distinguished <= w]
 
     # one scale covers every ballot, and every row compares two committees
     ballots = election.votes + instance.unregistered_votes
@@ -533,12 +532,8 @@ def solve_ccadv_thiele_fpt(instance: ControlInstance, cap: Optional[int] = None)
             )
             for w in all_committees
         }
-        for r in range(1, len(with_j) + 1):
-            for family in combinations(with_j, r):
-                anchor = score[family[0]]
-                yield [(score[w], "=", anchor) for w in family[1:]] + [
-                    (anchor, ">", score[w]) for w in all_committees if w not in family
-                ]
+        for anchor in with_j:
+            yield [(score[anchor], ">", score[w]) for w in without_j]
 
     return _vote_count_search(instance, guesses, cap)
 
@@ -753,7 +748,7 @@ ALGORITHMS = {
 def auto_algorithm(instance: ControlInstance) -> str:
     """The entry of `ALGORITHMS` that `auto` runs: a specialised solver whose
     domain covers the instance (`thiele-fpt` only when `thiele_fpt_refusal`
-    finds no reason to refuse it), else brute force."""
+    finds its programs' rows within the guess cap), else brute force."""
     rule = instance.rule
     if instance.ctype in VOTER_TYPES:
         if rule.kind == "MAV":

@@ -359,7 +359,8 @@ def test_verify_reductions_fifty_trials(tmp_path):
     assert "50 trials, ok" in proc.stdout
 
 
-# ten candidates give 120 committees of three, too many for collection guessing
+# ten candidates give 120 committees of three: 36 anchors with a times 120
+# rows, well within the guess cap
 CCDV_TEN = {"type": "CCDV", "candidates": list("abcdefghij"),
             "votes": [["a", "b"], ["c"], ["d", "e"], ["a"], ["f", "g"], ["h"], ["b", "c"], ["i", "j"]],
             "k": 3, "J": ["a"], "budget_delete": 2}
@@ -371,9 +372,9 @@ CCDV_FIVE = {"type": "CCDV", "candidates": list("abcde"),
 @pytest.mark.parametrize(
     "instance,node_cap,algorithm",
     [
-        (CCDV_TEN, None, "bruteforce"),
+        (CCDV_TEN, None, "thiele-fpt"),
         (CCDV_FIVE, None, "thiele-fpt"),
-        # 2^4 collections of the committees holding a exceed a cap of 12
+        # 4 anchors holding a times 10 committees exceed a cap of 12
         (CCDV_FIVE, "12", "bruteforce"),
     ],
 )

@@ -1,8 +1,10 @@
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_winners import COPRIME_THIELE
 
 from abmv import core, control as ctl, reductions as red, winners
 from abmv.core import ABCCV, AV, MAV, NSAV, PAV, SAV, Election, UnsupportedRuleError, ValidationError
@@ -305,6 +307,96 @@ class TestFptControl:
                 budget_add=inst.budget_add,
             )
             assert solve_ccav_mav_fpt(inst).yes == solve_ccav_mav_fpt(cloned).yes
+
+
+THIELE_RULES = (ABCCV, PAV, COPRIME_THIELE)
+# every (m, k) with m = 5-8, and those with more than 40 committees
+ROSTER_SHAPES = [(m, k) for m in range(5, 9) for k in range(1, m + 1)]
+CROWDED_SHAPES = [(m, k) for m, k in ROSTER_SHAPES if comb(m, k) > 40]
+
+
+@st.composite
+def thiele_voter_control(draw):
+    """CCAV, CCDV and CCADV under a Thiele rule with 5-8 candidates, half
+    the draws from rosters with more than 40 committees of size k."""
+    rule = draw(st.sampled_from(THIELE_RULES))
+    ctype = draw(st.sampled_from(["CCAV", "CCDV", "CCADV"]))
+    m, k = draw(st.sampled_from(CROWDED_SHAPES) | st.sampled_from(ROSTER_SHAPES))
+    # COPRIME_THIELE's table reaches overlap 7
+    k = min(k, 7) if rule is COPRIME_THIELE else k
+    roster = [f"c{i}" for i in range(m)]
+    ballot = st.frozensets(st.sampled_from(roster))
+    votes = draw(st.lists(ballot, max_size=5))
+    adds, deletes = ctl.ACTIONS[ctype]
+    extra = draw(st.lists(ballot, max_size=4)) if adds else []
+    wanted = draw(st.sets(st.sampled_from(roster), min_size=1, max_size=k))
+    budget_add = draw(st.integers(0, min(len(extra), 2))) if adds else None
+    budget_delete = draw(st.integers(0, min(len(votes), 2))) if deletes else None
+    return ControlInstance(
+        ctype, rule, roster, votes, k, wanted,
+        unregistered_votes=extra, budget_add=budget_add, budget_delete=budget_delete,
+    )
+
+
+def assert_thiele_fpt_agrees(inst):
+    verdict = solve_ccadv_thiele_fpt(inst)
+    assert verdict.yes == solve_control_bruteforce(inst).yes
+    if verdict.yes:
+        assert control_succeeds(inst, verdict.witness)
+
+
+class TestThieleFptBeyondCommitteeGuard:
+    @settings(max_examples=200, deadline=None)
+    @given(thiele_voter_control())
+    def test_agrees_with_bruteforce(self, inst):
+        assert_thiele_fpt_agrees(inst)
+
+    @pytest.mark.parametrize("rule", THIELE_RULES, ids=lambda rule: rule.kind)
+    @pytest.mark.parametrize("ctype", ["CCAV", "CCDV", "CCADV"])
+    @pytest.mark.parametrize(
+        "wanted,budget",
+        # a budget of 0 with c0 in every winner and with c7 in none, |J| = k,
+        # and a pair that only some rules and types can force in
+        [({"c0"}, 0), ({"c7"}, 0), ({"c0", "c5", "c6"}, 2), ({"c1", "c4"}, 2)],
+    )
+    def test_fixed_cases(self, rule, ctype, wanted, budget):
+        # eight candidates give 56 committees of three
+        roster = [f"c{i}" for i in range(8)]
+        votes = [{"c0", "c1"}, {"c0", "c2"}, {"c0", "c3"}, {"c1", "c4"}, {"c5", "c6"}, {"c7"}, {"c4", "c5"}]
+        extra = [{"c0", "c5", "c6"}, {"c5", "c6"}, {"c6"}]
+        adds, deletes = ctl.ACTIONS[ctype]
+        inst = ControlInstance(
+            ctype, rule, roster, votes, 3, wanted,
+            unregistered_votes=extra if adds else (),
+            budget_add=budget if adds else None, budget_delete=budget if deletes else None,
+        )
+        assert_thiele_fpt_agrees(inst)
+
+
+ALL_RULES = (AV, SAV, NSAV, PAV, ABCCV, MAV, COPRIME_THIELE)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_jcc_holds_iff_some_committee_with_j_beats_all_without(data):
+    """The condition `solve_ccadv_thiele_fpt` guesses on, under every rule:
+    MAV's better score is the lower one."""
+    rule = data.draw(st.sampled_from(ALL_RULES))
+    m = data.draw(st.integers(1, 6))
+    roster = [f"c{i}" for i in range(m)]
+    votes = data.draw(st.lists(st.frozensets(st.sampled_from(roster)), max_size=5))
+    election = Election(roster, votes)
+    k = data.draw(st.integers(1, m))
+    wanted = frozenset(data.draw(st.sets(st.sampled_from(roster), min_size=1, max_size=k)))
+    score = {frozenset(w): core.committee_score(rule, election, w) for w in combinations(roster, k)}
+    sign = -1 if rule.orientation == "minimize" else 1
+    anchored = any(
+        all(sign * score[w] > sign * score[other] for other in score if not wanted <= other)
+        for w in score
+        if wanted <= w
+    )
+    jcc = winners.JccInstance(election, k, wanted)
+    assert winners.j_cc(rule, jcc, algo="bruteforce") == anchored
 
 
 class TestPerfectHashFamilies:

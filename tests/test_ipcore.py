@@ -96,7 +96,7 @@ def _ccadv(rule, votes, k, wanted, unregistered, budget_add, budget_delete):
 
 
 # (solver, instance, a cap that only its integer program hits): the
-# Thiele solver's two collection guesses pass a cap of 2 but not of 1
+# Thiele solver's one program (every committee holds J) takes 4 nodes, past a cap of 2
 FPT_CAP_CASES = [
     (
         man.solve_manipulation_fpt_m_additive,
@@ -140,7 +140,8 @@ def test_fpt_solvers_raise_past_the_ip_node_cap(solve, instance, ip_cap, monkeyp
 
 
 def test_thiele_fpt_cap_bounds_only_the_program_nodes(monkeypatch):
-    # two collection guesses: a cap of 1 once refused them before any program ran
+    # the refusal guard counts rows against the guess cap, so a program cap
+    # of 1 is hit inside the program, not before it runs
     monkeypatch.delenv("ABMV_NODE_CAP", raising=False)
     instance = FPT_CAP_CASES[-1][1]
     with pytest.raises(ResourceCapError, match="node cap"):
