@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import Optional, Sequence
 
 from abmv import core, ipcore, winners
@@ -494,12 +494,20 @@ def solve_ccadv_additive_fpt(instance: ControlInstance, cap: Optional[int] = Non
 def thiele_fpt_refusal(instance: ControlInstance) -> Optional[str]:
     """Why `solve_ccadv_thiele_fpt` refuses the instance up front, or None.
 
-    Its `cap` bounds each program's nodes; this bounds the rows of all its
-    programs, one per anchor committee and k-committee."""
-    m, k, j = len(instance.registered_candidates), instance.k, len(instance.distinguished)
-    if math.comb(m - j, k - j) * math.comb(m, k) > effective_cap(GUESS_CAP):
-        return "anchor guesses times committees exceed the cap"
+    Its `cap` bounds each program's nodes; this bounds what all its programs
+    hold: at most one row per anchor and k-committee, each a constant plus
+    one coefficient per distinct ballot."""
+    ballots = len(set(instance.registered_votes)) + len(set(instance.unregistered_votes))
+    m, k = len(instance.registered_candidates), instance.k
+    if _thiele_anchors(instance) * math.comb(m, k) * (ballots + 1) > effective_cap(GUESS_CAP):
+        return "anchor programs' coefficients exceed the cap"
     return None
+
+
+def _thiele_anchors(instance: ControlInstance) -> int:
+    """The committees containing J, one program each."""
+    m, k, j = len(instance.registered_candidates), instance.k, len(instance.distinguished)
+    return math.comb(m - j, k - j)
 
 
 def solve_ccadv_thiele_fpt(instance: ControlInstance, cap: Optional[int] = None) -> Verdict:
@@ -513,27 +521,26 @@ def solve_ccadv_thiele_fpt(instance: ControlInstance, cap: Optional[int] = None)
         raise UnsupportedRuleError("this solver handles voter control")
     if (refusal := thiele_fpt_refusal(instance)) is not None:
         raise ResourceCapError(refusal)
-    rule = instance.rule
     election = instance.base_election
     k = instance.k
-    all_committees = [frozenset(w) for w in combinations(election.candidates, k)]
-    with_j = [w for w in all_committees if instance.distinguished <= w]
-    without_j = [w for w in all_committees if not instance.distinguished <= w]
 
     # one scale covers every ballot, and every row compares two committees
     ballots = election.votes + instance.unregistered_votes
-    _, omega = core.omega_table(rule, min(k, max((len(v) for v in ballots), default=0)))
+    _, omega = core.omega_table(instance.rule, min(k, max((len(v) for v in ballots), default=0)))
 
     def guesses(change):
-        score = {
-            w: (
-                sum(omega[len(ballot & w)] for ballot in election.votes),
-                change(lambda ballot: omega[len(ballot & w)]),
-            )
-            for w in all_committees
-        }
-        for anchor in with_j:
-            yield [(score[anchor], ">", score[w]) for w in without_j]
+        # the coefficients fix the whole score (each registered ballot adds
+        # what deleting it takes away), so committees alike in them need one
+        # anchor or one row between them
+        distinct = ({}, {})  # committees without J, with J
+        for members in combinations(election.candidates, k):
+            w = frozenset(members)
+            coeffs = change(lambda ballot: omega[len(ballot & w)])
+            score = (sum(omega[len(ballot & w)] for ballot in election.votes), coeffs)
+            distinct[instance.distinguished <= w].setdefault(frozenset(coeffs.items()), score)
+        rows, anchors = (list(scores.values()) for scores in distinct)
+        for anchor in anchors:
+            yield [(anchor, ">", w) for w in rows]
 
     return _vote_count_search(instance, guesses, cap)
 
@@ -681,19 +688,11 @@ def solve_ccadc_colorcoding(
                 continue
             if exact_delete > len(deletable) or exact_add > len(addable):
                 continue
-            del_family = (
-                [None]
-                if exact_delete == 0
-                else build_perfect_hash_family(
-                    deletable, exact_delete, hash_mode, seed, repetitions, cap
-                ).functions
-            )
-            add_family = (
-                [None]
-                if exact_add == 0
-                else build_perfect_hash_family(
-                    addable, exact_add, hash_mode, seed + 1, repetitions, cap
-                ).functions
+            del_family, add_family = (
+                build_perfect_hash_family(pool, size, hash_mode, seed + shift, repetitions, cap).functions
+                if size
+                else [None]
+                for pool, size, shift in ((deletable, exact_delete, 0), (addable, exact_add, 1))
             )
             for f, g in product(del_family, add_family):
                 del_classes = _color_class_representatives(deletable, f, exact_delete, approvers)
@@ -747,8 +746,10 @@ ALGORITHMS = {
 
 def auto_algorithm(instance: ControlInstance) -> str:
     """The entry of `ALGORITHMS` that `auto` runs: a specialised solver whose
-    domain covers the instance (`thiele-fpt` only when `thiele_fpt_refusal`
-    finds its programs' rows within the guess cap), else brute force."""
+    domain covers the instance, else brute force. Both Thiele voter-control
+    solvers score every k-committee per step, so `thiele-fpt` runs only when
+    `thiele_fpt_refusal` accepts and its anchors number at most the actions
+    brute force would walk."""
     rule = instance.rule
     if instance.ctype in VOTER_TYPES:
         if rule.kind == "MAV":
@@ -756,7 +757,9 @@ def auto_algorithm(instance: ControlInstance) -> str:
         if rule.is_additive:
             return "additive-fpt"
         if rule.is_thiele_family and thiele_fpt_refusal(instance) is None:
-            return "thiele-fpt"
+            anchors = _thiele_anchors(instance)
+            if len(list(islice(_solution_stream(instance), anchors))) == anchors:
+                return "thiele-fpt"
     if instance.ctype in CANDIDATE_TYPES:
         return "color-coding"
     return "bruteforce"

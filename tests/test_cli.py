@@ -359,11 +359,11 @@ def test_verify_reductions_fifty_trials(tmp_path):
     assert "50 trials, ok" in proc.stdout
 
 
-# ten candidates give 120 committees of three: 36 anchors with a times 120
-# rows, well within the guess cap
+# ten candidates give 36 committees of three holding a, more than the 9 ways
+# to delete at most one of 8 votes
 CCDV_TEN = {"type": "CCDV", "candidates": list("abcdefghij"),
             "votes": [["a", "b"], ["c"], ["d", "e"], ["a"], ["f", "g"], ["h"], ["b", "c"], ["i", "j"]],
-            "k": 3, "J": ["a"], "budget_delete": 2}
+            "k": 3, "J": ["a"], "budget_delete": 1}
 CCDV_FIVE = {"type": "CCDV", "candidates": list("abcde"),
              "votes": [["a", "b"], ["c"], ["b", "c"], ["a", "d"], ["e"]],
              "k": 2, "J": ["a"], "budget_delete": 1}
@@ -372,9 +372,10 @@ CCDV_FIVE = {"type": "CCDV", "candidates": list("abcde"),
 @pytest.mark.parametrize(
     "instance,node_cap,algorithm",
     [
-        (CCDV_TEN, None, "thiele-fpt"),
+        (CCDV_TEN, None, "bruteforce"),
+        # 4 committees holding a, 6 ways to delete at most one vote
         (CCDV_FIVE, None, "thiele-fpt"),
-        # 4 anchors holding a times 10 committees exceed a cap of 12
+        # 4 anchors times 10 committees times 6 coefficients exceed a cap of 12
         (CCDV_FIVE, "12", "bruteforce"),
     ],
 )

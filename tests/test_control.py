@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_winners import COPRIME_THIELE
+from rules import COPRIME_THIELE
 
 from abmv import core, control as ctl, reductions as red, winners
 from abmv.core import ABCCV, AV, MAV, NSAV, PAV, SAV, Election, UnsupportedRuleError, ValidationError
@@ -370,6 +370,13 @@ class TestThieleFptBeyondCommitteeGuard:
             unregistered_votes=extra if adds else (),
             budget_add=budget if adds else None, budget_delete=budget if deletes else None,
         )
+        assert_thiele_fpt_agrees(inst)
+
+    def test_committees_share_a_program_only_when_alike(self):
+        # the one ballot gives {c0, c1} and {c0, c2} coefficients on the same
+        # variable, 1 and 3/2 times PAV's scale: only {c0, c2} beats {c1, c2}
+        inst = ControlInstance("CCDV", PAV, ["c0", "c1", "c2"], [{"c0", "c2"}], 2, {"c0"}, budget_delete=1)
+        assert solve_ccadv_thiele_fpt(inst).yes
         assert_thiele_fpt_agrees(inst)
 
 

@@ -140,7 +140,7 @@ def test_fpt_solvers_raise_past_the_ip_node_cap(solve, instance, ip_cap, monkeyp
 
 
 def test_thiele_fpt_cap_bounds_only_the_program_nodes(monkeypatch):
-    # the refusal guard counts rows against the guess cap, so a program cap
+    # the refusal guard counts coefficients against the guess cap, so a program cap
     # of 1 is hit inside the program, not before it runs
     monkeypatch.delenv("ABMV_NODE_CAP", raising=False)
     instance = FPT_CAP_CASES[-1][1]

@@ -174,6 +174,8 @@ def test_specialised_solvers_do_not_certify_their_own_witness(monkeypatch, solve
         (candidate_control("CCDC", SAV), "color-coding"),
         (candidate_control("CCADC", PAV), "color-coding"),
         (ctl.ControlInstance("JCC", SAV, "ab", [{"a"}], 1, {"a"}), "bruteforce"),
+        # 4 committees holding a against the one action of a zero budget
+        (voter_control("CCDV", PAV, budget=0), "bruteforce"),
     ],
 )
 def test_auto_algorithm(instance, algorithm):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from rules import COPRIME_THIELE
 
 from abmv import core, ipcore, winners
 from abmv.core import (
@@ -228,13 +229,6 @@ def test_clone_swap_preserves_winning():
                 if a in members and b not in members:
                     swapped = tuple(sorted((members - {a}) | {b}, key=e.index))
                     assert swapped in ws.committees
-
-
-# pairwise coprime denominators 3, 7, 5, 6 and 11: the integer ω table's
-# scale is their lcm 2,310, so scoring over any smaller scale goes wrong
-COPRIME_THIELE = core.thiele(
-    [0, 1, Fraction(4, 3), Fraction(11, 7), Fraction(9, 5), 2, Fraction(13, 6), Fraction(24, 11)]
-)
 
 
 class TestClassCountEnumeration:
