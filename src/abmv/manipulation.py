@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, product, repeat
+from itertools import combinations, combinations_with_replacement, product
 from typing import Iterable, Optional, Sequence
 
 from abmv import core, winners
@@ -145,51 +145,13 @@ def sd_dominates(coll_a, coll_b, subject: Iterable[str]) -> SdVerdict:
 # ---------------------------------------------------------------------------
 # Acceptance checks
 #
-# The additive path reads everything off the threshold partition. The
-# general path groups candidates into clone classes of the manipulated
-# election (refined so that truthful ballots and the displaced committee
-# are unions of classes) and enumerates committees as per-class counts;
-# scores and all acceptance predicates are then count-determined.
-
-
-def _partition_sets(scores: dict, k: int):
-    """(swin, pwin) from a candidate->score map."""
-    threshold, ties_sure = core.class_threshold(zip(scores.values(), repeat(1)), k)
-    above, tied = [], []
-    for c, s in scores.items():
-        if s > threshold:
-            above.append(c)
-        elif s == threshold:
-            tied.append(c)
-    if ties_sure:
-        return frozenset(above + tied), frozenset()
-    return frozenset(above), frozenset(tied)
-
-
-def _min_overlap(swin, pwin, k, v) -> int:
-    """Fewest v-approved members any winning committee can have."""
-    return len(swin & v) + max(0, (k - len(swin)) - len(pwin - v))
-
-
-def _all_winning_contain(swin, pwin, k, members) -> bool:
-    if members <= swin:
-        return True
-    return len(swin) + len(pwin) == k and members <= (swin | pwin)
-
-
-def _additive_accepts(instance, swin, pwin) -> bool:
-    k, w = instance.k, instance.current_committee
-    for v in instance.manipulative_votes:
-        gained = _min_overlap(swin, pwin, k, v)
-        if instance.variant == "CBCM":
-            if gained <= len(v & w):
-                return False
-        else:  # SBCM: keep every approved winner, then gain strictly
-            if not _all_winning_contain(swin, pwin, k, v & w):
-                return False
-            if gained <= len(v & w):
-                return False
-    return True
+# The additive path reads everything off the threshold partition, held
+# as bit masks over the candidates ballots can touch and as counts over
+# the roster. The general path groups candidates into clone classes of
+# the manipulated election (refined so that truthful ballots and the
+# displaced committee are unions of classes) and enumerates committees
+# as per-class counts; scores and all acceptance predicates are then
+# count-determined.
 
 
 def _refined_classes(election: Election, references: Sequence[frozenset]):
@@ -260,36 +222,18 @@ def _sd_dominates_distribution(new_total, new_cum, old_total, old_cum, k) -> boo
     return strict
 
 
-def _sd_accepts_partition(instance, swin, pwin, old_distribution) -> bool:
-    """SDCM from the threshold partition of an additive election.
-
-    The winning committees are swin plus any k - |swin| members of pwin,
-    so the committees meeting each overlap level are binomial counts.
-    """
-    k = instance.k
-    rest = k - len(swin)
-    total = math.comb(len(pwin), rest)
-    old_total, old_cum = old_distribution
-    for i, v in enumerate(instance.manipulative_votes):
-        inside = len(pwin & v)
-        sure = len(swin & v)
-        counts = [0] * (k + 2)
-        for j in range(min(inside, rest) + 1):
-            counts[sure + j] = math.comb(inside, j) * math.comb(len(pwin) - inside, rest - j)
-        if not _sd_dominates_distribution(total, _at_least(counts), old_total, old_cum[i], k):
-            return False
-    return True
-
-
 class _ProfileChecker:
     """Evaluates acceptance of candidate ballot profiles for one instance.
 
-    Additive rules read the threshold partition off integer scores (see
-    `core.size_weights`; the scale grows when a profile casts a ballot
-    size not seen before), so under AV a verdict depends only on how
-    many cast ballots approve each candidate, which split-mode brute
-    force uses to decide each such count vector once; other rules go
-    through the clone class evaluator. For SDCM the truthful winning
+    Additive rules score in `core.size_weights` integers; the scale grows
+    when a profile casts a ballot size not seen before. The candidates a
+    truthful manipulator ballot or a cast ballot touches get bit
+    positions as they are met, and `base` holds their honest scores; no
+    profile moves the others, so they are one ascending list. `decide` is
+    the one additive acceptance: profiles reach it through
+    `accepts_scores`, as do split-mode brute force's AV count vectors,
+    and the FPT search's guessed partitions call it directly. Other rules
+    go through the clone class evaluator. For SDCM the truthful winning
     distribution is computed once up front with the class evaluator.
     """
 
@@ -299,8 +243,11 @@ class _ProfileChecker:
         self.rule = instance.rule
         self.election = instance.base_election
         if self.rule.is_additive:
+            w = instance.current_committee or frozenset()
             self._sizes = {len(v) for v in instance.honest_votes}
-            self._rescale()
+            self.bit = {}
+            self.touch(instance.approved_union)
+            self._voters = [(self.mask(v), self.mask(v & w), len(v & w)) for v in instance.manipulative_votes]
         if instance.variant == "SDCM":
             refs = list(instance.manipulative_votes)
             sizes, in_ref, vectors = _winning_profile_by_classes(
@@ -310,32 +257,87 @@ class _ProfileChecker:
                 sizes, in_ref, vectors, range(len(refs)), instance.k
             )
 
+    def touch(self, candidates):
+        """Give bit positions to the candidates that lack one, and rescore."""
+        for c in candidates:
+            self.bit.setdefault(c, len(self.bit))
+        self._rescale()
+
     def _rescale(self):
         m = len(self.instance.candidates)
         # an empty ballot approves nobody
         self.weight = {0: 0, **core.size_weights(self.rule, m, self._sizes)[1]}
-        self.base_int = core.integer_scores(self.election, self.weight)
+        base = core.integer_scores(self.election, self.weight)
+        self.base = [base[c] for c in self.bit]
+        self._rest = sorted(score for c, score in base.items() if c not in self.bit)
+        self._rest_top = self._rest[-self.instance.k :]
 
-    def _scores(self, profile) -> dict:
-        scores = dict(self.base_int)
+    def mask(self, candidates) -> int:
+        return sum(1 << self.bit[c] for c in candidates if c in self.bit)
+
+    def _scores(self, profile) -> list:
+        scores = list(self.base)
         for ballot in profile:
             weight = self.weight.get(len(ballot))
-            if weight is None:  # a new ballot size: grow the scale, start over
+            if weight is None or not self.bit.keys() >= ballot:
+                # a new ballot size or candidate: grow the scale or the bits, start over
                 self._sizes.update(len(b) for b in profile)
-                self._rescale()
+                self.touch(frozenset().union(*profile))
                 return self._scores(profile)
             for c in ballot:
-                scores[c] += weight
+                scores[self.bit[c]] += weight
         return scores
 
     def accepts(self, profile: Sequence[frozenset]) -> bool:
-        inst = self.instance
         if not self.rule.is_additive:
             return self._general_accepts(profile)
-        swin, pwin = _partition_sets(self._scores(profile), inst.k)
+        return self.accepts_scores(self._scores(profile))
+
+    def accepts_scores(self, scores: Sequence[int]) -> bool:
+        """Acceptance when the touchable candidates score `scores` (in bit
+        order) and everyone else their honest score."""
+        k = self.instance.k
+        # the k-th highest score lies among the touchable and the k best others
+        threshold = sorted([*self._rest_top, *scores])[-k]
+        rest = self._rest
+        below, not_above = bisect_left(rest, threshold), bisect_right(rest, threshold)
+        swin = pwin = 0
+        for b, score in enumerate(scores):
+            if score > threshold:
+                swin |= 1 << b
+            elif score == threshold:
+                pwin |= 1 << b
+        sure = len(rest) - not_above + swin.bit_count()
+        return self.decide(swin, sure, pwin, not_above - below + pwin.bit_count())
+
+    def decide(self, swin: int, sure: int, pwin: int, tied: int) -> bool:
+        """Do the manipulators accept the winning committees, the `sure`
+        candidates plus any k - sure of the `tied` ones? `swin` and `pwin`
+        hold the touchable among them as masks.
+        """
+        inst = self.instance
+        k = inst.k
+        free = k - sure
         if inst.variant == "SDCM":
-            return _sd_accepts_partition(inst, swin, pwin, self.old_distribution)
-        return _additive_accepts(inst, swin, pwin)
+            # a winning committee meets each overlap level in binomially many ways
+            total = math.comb(tied, free)
+            old_total, old_cum = self.old_distribution
+            for i, (v, _, _) in enumerate(self._voters):
+                inside, have = (pwin & v).bit_count(), (swin & v).bit_count()
+                counts = [0] * (k + 2)
+                for j in range(min(inside, free) + 1):
+                    counts[have + j] = math.comb(inside, j) * math.comb(tied - inside, free - j)
+                if not _sd_dominates_distribution(total, _at_least(counts), old_total, old_cum[i], k):
+                    return False
+            return True
+        for v, kept, old in self._voters:
+            # the fewest v-approved members a winning committee can have
+            if (swin & v).bit_count() + max(0, free - tied + (pwin & v).bit_count()) <= old:
+                return False
+            # SBCM: every winning committee keeps v's members of the old one
+            if inst.variant == "SBCM" and kept & ~swin and (sure + tied != k or kept & ~(swin | pwin)):
+                return False
+        return True
 
     def _general_accepts(self, profile) -> bool:
         inst = self.instance
@@ -448,29 +450,39 @@ def _ballot_options(instance: ManipulationInstance, pool_kind: str, pool_overrid
     return bases, per_manipulator
 
 
-def _once_per_count_vector(accepts, pools, t):
-    """`accepts`, called once per approval-count vector of the t cast ballots.
+def _once_per_count_vector(checker, pools, t):
+    """(decide, any_accepted): AV acceptance of profiles of the t cast
+    ballots, decided once per approval-count vector.
 
-    The i-th candidate of the options gets the digit (t+1)^i and a
-    ballot the sum of its members' digits; no count exceeds t, so the
-    sum of a profile's codes names its count vector exactly.
+    The options' candidates get bits in the checker, the one with the
+    j-th highest bit gets the digit (t+1)^j, and a ballot the sum of its
+    members' digits; no count exceeds t, so the sum of a profile's codes
+    names its count vector exactly. When every pool is the power set of
+    the same u candidates, every one of the (t+1)^u vectors is some
+    profile's, so all are decided up front from the honest scores plus
+    the counts; other pools fill the table as the walk meets vectors.
     """
-    digit = {}
-    for options in pools:
-        for ballot in options:
-            for c in ballot:
-                digit.setdefault(c, (t + 1) ** len(digit))
+    members = frozenset().union(*(ballot for options in pools for ballot in options))
+    if not checker.bit.keys() >= members:
+        checker.touch(members)
+    ranked = sorted(members, key=checker.bit.__getitem__, reverse=True)
+    digit = {c: (t + 1) ** j for j, c in enumerate(ranked)}
     code = {ballot: sum(map(digit.__getitem__, ballot)) for options in pools for ballot in options}
-    verdicts = {}
+    if all(len(options) == 2 ** len(members) for options in pools):
+        # `product` varies the highest bit fastest, so a vector's index is its code
+        ranges = [range(s, s + t + 1) if c in members else (s,) for c, s in zip(checker.bit, checker.base)]
+        verdicts = list(map(checker.accepts_scores, product(*ranges)))
+        return (lambda profile: verdicts[sum(map(code.__getitem__, profile))]), any(verdicts)
+    lazy = {}
 
     def decide(profile) -> bool:
         key = sum(map(code.__getitem__, profile))
-        verdict = verdicts.get(key)
+        verdict = lazy.get(key)
         if verdict is None:
-            verdict = verdicts[key] = accepts(profile)
+            verdict = lazy[key] = checker.accepts(profile)
         return verdict
 
-    return decide
+    return decide, True
 
 
 def solve_manipulation_bruteforce(
@@ -491,15 +503,16 @@ def solve_manipulation_bruteforce(
     escape hatch.
 
     Profiles are walked in one fixed order and every accepted profile is
-    certified by `certify_manipulation`. Under AV with t >= 2 split
-    ballots, acceptance is decided once per approval-count vector (how
-    many of the t ballots approve each candidate): AV scores are the
-    honest scores plus those counts, so two profiles with one vector get
-    one verdict, and the first accepted profile is the same one. The
-    call-local table holds at most min(profiles tried, (t+1)^u) verdicts,
-    u the number of candidates in the ballot options. SAV and NSAV weigh
-    a ballot by its size, and t = 1 profiles never share a vector, so
-    those decide every profile.
+    certified by `certify_manipulation`. Under AV with split ballots,
+    acceptance is decided once per approval-count vector (how many of
+    the t ballots approve each candidate): AV scores are the honest
+    scores plus those counts, so two profiles with one vector get one
+    verdict, and the first accepted profile is the same one. When every
+    pool is the power set of the same u candidates, all (t+1)^u vectors
+    are decided before the walk, and if none is accepted the answer is
+    NO without walking a profile; pools with private blocks fill the
+    table as the walk meets vectors. SAV and NSAV weigh a ballot by its
+    size, so those decide every profile.
     """
     limit = effective_cap(cap if cap is not None else PROFILE_CAP)
     bases, extras = _ballot_options(instance, pool, pool_override)
@@ -528,8 +541,10 @@ def solve_manipulation_bruteforce(
         else:
             profiles = product(*pools)
         accepts = checker.accepts
-        if instance.rule.kind == "AV" and instance.t > 1:
-            accepts = _once_per_count_vector(accepts, pools, instance.t)
+        if instance.rule.kind == "AV":
+            accepts, any_accepted = _once_per_count_vector(checker, pools, instance.t)
+            if not any_accepted:
+                return NO
         for profile in profiles:
             if accepts(profile):
                 if certify_manipulation(instance, profile):
@@ -635,6 +650,7 @@ def solve_manipulation_fpt_m_av(instance: ManipulationInstance, cap: Optional[in
     if m > 22:
         raise ResourceCapError(f"m={m} exceeds the 2^m enumeration bound")
     checker = _ProfileChecker(instance, cap)
+    checker.touch(instance.candidates)
     for r in range(0, instance.k + 1):
         for combo in combinations(instance.candidates, r):
             profile = (frozenset(combo),) * instance.t
@@ -766,9 +782,9 @@ def solve_manipulation_fpt_m_additive(instance: ManipulationInstance, cap: Optio
     m = len(instance.candidates)
     if m > 8:
         raise ResourceCapError(f"m={m} exceeds the collection-enumeration bound")
-    return _realize_partition(
-        instance, lambda swin, pwin: _additive_accepts(instance, swin, pwin), cap
-    )
+    checker = _ProfileChecker(instance, cap)
+    mask = checker.mask
+    return _realize_partition(instance, lambda s, p: checker.decide(mask(s), len(s), mask(p), len(p)), cap)
 
 
 def solve_sdcm_fpt_m(instance: ManipulationInstance, cap: Optional[int] = None) -> Verdict:

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from itertools import combinations, combinations_with_replacement, product
 
@@ -479,12 +480,12 @@ def fresh_checker_bruteforce(inst, pool):
 
 @st.composite
 def av_split_instances(draw):
-    """AV instances with two or three manipulators, sometimes with private
+    """AV instances with one to three manipulators, sometimes with private
     blocks so that their option lists differ."""
     variant = draw(st.sampled_from(man.VARIANTS))
-    t = draw(st.integers(2, 3))
+    t = draw(st.integers(1, 3))
     blocked = draw(st.booleans())
-    m = draw(st.integers(2, 4 if t == 2 and not blocked else 3))
+    m = draw(st.integers(2, 4 if t <= 2 and not blocked else 3))
     cands = [f"c{i}" for i in range(m)]
     nonempty = st.frozensets(st.sampled_from(cands), min_size=1)
     honest = draw(st.lists(st.frozensets(st.sampled_from(cands)), max_size=4))
@@ -498,57 +499,228 @@ def av_split_instances(draw):
     return ManipulationInstance(AV, variant, cands, honest, manip, k, committee, blocks)
 
 
+def av_tie(order, pool):
+    """An AV tie that random draws almost never produce: truthfully c0-c3
+    all score 2, and both manipulators casting {c0, c1} leaves {c0, c1}
+    the only winner, a CBCM YES under either manipulator order."""
+    manip = [{"c0", "c1", "c3"}, {"c0", "c1", "c2"}][::order]
+    return ManipulationInstance(AV, "CBCM", ["c0", "c1", "c2", "c3"], [{"c2", "c3"}], manip, 2, {"c2", "c3"}), pool
+
+
+def _with_av_ties(test):
+    for order in (1, -1):
+        for pool in ("auto", "unrestricted"):
+            test = example(*av_tie(order, pool))(test)
+    return test
+
+
 @settings(max_examples=120, deadline=None)
 @example(_yes_case(*YES_CASES[0])[0], "auto")
 @example(_yes_case(*YES_CASES[9])[0], "with_committee")
+@_with_av_ties
 @given(av_split_instances(), st.sampled_from(["auto", "unrestricted"]))
 def test_av_count_vectors_keep_fresh_checker_verdicts(inst, pool):
     """Deciding each AV count vector once gives the verdict and witness of
-    deciding every profile afresh, and decides at most (t+1)^u profiles."""
-    partitions = []
-    count_partitions = man._partition_sets
+    deciding every profile afresh, and decides at most (t+1)^u vectors."""
+    decisions = []
+    decide = man._ProfileChecker.decide
 
-    def counted(scores, k):
-        partitions.append(k)
-        return count_partitions(scores, k)
+    def counted(checker, *partition):
+        decisions.append(partition)
+        return decide(checker, *partition)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(man, "_partition_sets", counted)
+        patch.setattr(man._ProfileChecker, "decide", counted)
         verdict = solve_manipulation_bruteforce(inst, pool=pool)
     expected, pools = fresh_checker_bruteforce(inst, pool)
     assert (verdict.yes, verdict.witness) == (expected.yes, expected.witness)
     u = len(frozenset().union(*(b for options in pools for b in options)))
-    assert len(partitions) <= (inst.t + 1) ** u
+    assert len(decisions) <= (inst.t + 1) ** u
+
+
+def reference_split(rule, election, k):
+    """(swin, pwin) by the definition, from the full candidate -> score map:
+    the threshold is the k-th highest score, and when more than k
+    candidates reach it the ones at it are only possible winners."""
+    scores = core.additive_scores(rule, election)
+    threshold = sorted(scores.values(), reverse=True)[k - 1]
+    above = {c for c, score in scores.items() if score > threshold}
+    at = {c for c, score in scores.items() if score == threshold}
+    if len(above) + len(at) == k:
+        return above | at, set()
+    return above, at
+
+
+def reference_levels(swin, pwin, k, v):
+    """How many winning committees, swin plus any k - |swin| of pwin, hold
+    at least i members of v, for i = 0..k+1."""
+    free, inside = k - len(swin), len(pwin & v)
+    counts = [0] * (k + 2)
+    for j in range(min(inside, free) + 1):
+        counts[len(swin & v) + j] = math.comb(inside, j) * math.comb(len(pwin) - inside, free - j)
+    return [sum(counts[i:]) for i in range(k + 2)]
+
+
+def reference_accepts(inst, profile):
+    return reference_accepts_split(inst, *reference_split(inst.rule, inst.election_with(profile), inst.k))
+
+
+def reference_accepts_split(inst, swin, pwin):
+    """Do the manipulators accept the committees swin plus any k - |swin|
+    of pwin?"""
+    free = inst.k - len(swin)
+    if inst.variant == "SDCM":
+        old_swin, old_pwin = reference_split(inst.rule, inst.full_election, inst.k)
+        new_total, old_total = math.comb(len(pwin), free), math.comb(len(old_pwin), inst.k - len(old_swin))
+        for v in inst.manipulative_votes:
+            new = [count * old_total for count in reference_levels(swin, pwin, inst.k, v)]
+            old = [count * new_total for count in reference_levels(old_swin, old_pwin, inst.k, v)]
+            if any(a < b for a, b in zip(new, old)) or new == old:
+                return False
+        return True
+    w = inst.current_committee
+    for v in inst.manipulative_votes:
+        # the fewest approved members a winning committee can have
+        if len(swin & v) + max(0, free - len(pwin - v)) <= len(v & w):
+            return False
+        in_every = swin | (pwin if len(pwin) == free else set())
+        if inst.variant == "SBCM" and not v & w <= in_every:
+            return False
+    return True
+
+
+@st.composite
+def padded_additive_profiles(draw):
+    """An AV, SAV or NSAV instance on a roster padded with up to 2,000
+    dummies, and several profiles to decide with one checker.
+
+    Half the draws plant a tie like `av_tie`'s: under AV the k targets
+    and the honest voters' k favourites all score t, each manipulator
+    approves the targets and fewer than k favourites, and one profile
+    casts only the targets, which lifts them over the favourites.
+    """
+    rule = draw(st.sampled_from([AV, SAV, NSAV]))
+    variant = draw(st.sampled_from(man.VARIANTS))
+    planted = draw(st.booleans())
+    m = draw(st.integers(4 if planted else 2, 5))
+    pad = draw(st.one_of(st.integers(0, 3), st.integers(0, 2000)))
+    roster = core.pad_with_dummies(Election([f"c{i}" for i in range(m)], []), pad).candidates
+    named = st.sampled_from(roster[:m])
+    profiles, favourites = [], ()
+    if planted:
+        t, k = draw(st.integers(2, 3)), 2
+        targets, favourites = frozenset(roster[:k]), roster[k : 2 * k]
+        # t - 1 honest votes and one manipulator approve each favourite, and
+        # honest votes alone approve the others, who may tie the rest at t
+        honest = [frozenset(favourites)] * (t - 1) + [frozenset(roster[2 * k : m])] * draw(st.integers(0, t + 1))
+        manip = [targets | set(favourites[i::t]) for i in range(t)]
+        profiles.append((targets,) * t)
+    else:
+        t = draw(st.integers(1, 3))
+        honest = draw(st.lists(st.frozensets(named), max_size=4))
+        manip = draw(st.lists(st.frozensets(named, min_size=1), min_size=t, max_size=t))
+        # now and then k = m, which makes every candidate a winner
+        k = len(roster) if draw(st.integers(0, 9)) == 0 else draw(st.integers(1, m + min(pad, 2)))
+    union = sorted(frozenset().union(*manip))
+    committee = None
+    if variant != "SDCM":
+        # the favourites if they win, else the winner the manipulators like least
+        swin, pwin = reference_split(rule, Election(roster, honest + manip), k)
+        committee = swin | set(sorted(pwin, key=lambda c: (c not in favourites, c in union, c))[: k - len(swin)])
+    inst = ManipulationInstance(rule, variant, roster, honest, manip, k, committee)
+    # cast ballots may be empty, and may reach a dummy no truthful ballot
+    # touches; ballots inside the truthful union are the ones that can help
+    cast = st.one_of(
+        st.frozensets(st.sampled_from(roster[: m + min(pad, 2)])),
+        st.frozensets(st.sampled_from(union), max_size=2),
+    )
+    profiles += draw(st.lists(st.lists(cast, min_size=t, max_size=t).map(tuple), min_size=1, max_size=3))
+    return inst, profiles
+
+
+@settings(max_examples=150, deadline=None)
+@given(padded_additive_profiles())
+def test_additive_acceptance_matches_the_definition(case):
+    """The bitmask acceptance, one checker over several profiles so that
+    the scale and the touched candidates grow, against the definition on
+    the whole score map; ties may straddle touched and untouched
+    candidates, since dummies and unapproved candidates score alike."""
+    inst, profiles = case
+    checker = man._ProfileChecker(inst)
+    for profile in profiles:
+        assert checker.accepts(profile) == reference_accepts(inst, profile), profile
+
+
+@settings(max_examples=100, deadline=None)
+@given(padded_additive_profiles(), st.data())
+def test_partition_acceptance_matches_the_definition(case, data):
+    """`decide` on any split the FPT search may guess, realizable or not,
+    such as a possible winner filling the last seats exactly."""
+    inst, _ = case
+    named = sorted(inst.approved_union | (inst.current_committee or set()))
+    swin = data.draw(st.sets(st.sampled_from(named), max_size=inst.k))
+    others = [c for c in inst.candidates if c not in swin]
+    few = others[: len(named) + 2]
+    pwin = data.draw(st.sets(st.sampled_from(few)) if few else st.just(set()))
+    # top up to the seats left, which under k = m is the whole roster
+    pwin |= set([c for c in others if c not in pwin][: inst.k - len(swin) - len(pwin)])
+    checker = man._ProfileChecker(inst)
+    decided = checker.decide(checker.mask(swin), len(swin), checker.mask(pwin), len(pwin))
+    assert decided == reference_accepts_split(inst, swin, pwin)
 
 
 def test_split_cap_counts_walked_profiles(monkeypatch):
     # 8 ballots over the union {a, b, c} and t = 3: the cap counts the
-    # C(10, 3) = 120 multisets the search visits, not 8**3 = 512 ordered
-    # profiles; under AV it decides only their 4**3 = 64 count vectors
+    # C(10, 3) = 120 multisets the search would visit, not 8**3 = 512
+    # ordered profiles; under AV it decides their 4**3 = 64 count vectors
+    # first, and since none is accepted it walks no profile at all
     monkeypatch.delenv("ABMV_NODE_CAP", raising=False)
     inst = ManipulationInstance(
         AV, "CBCM", ["a", "b", "c", "d"], [{"d"}] * 3, [{"a", "b"}, {"b", "c"}, {"a", "c"}], 1, {"d"}
     )
     with pytest.raises(ResourceCapError, match="^120 ballot profiles exceed the cap 119$"):
         solve_manipulation_bruteforce(inst, cap=119)
+    walked, decided = count_walk_and_decisions(monkeypatch)
+    assert not solve_manipulation_bruteforce(inst, cap=120).yes
+    assert len(walked) == 0
+    assert len(decided) == 64
+
+
+def count_walk_and_decisions(monkeypatch):
+    """Lists that collect the multisets the split search walks and the
+    partitions its acceptance decides."""
     walked, decided = [], []
     walk = man.combinations_with_replacement
-    accepts = man._ProfileChecker.accepts
+    decide = man._ProfileChecker.decide
 
     def counted_walk(options, t):
         for profile in walk(options, t):
             walked.append(profile)
             yield profile
 
-    def counted(checker, profile):
-        decided.append(profile)
-        return accepts(checker, profile)
+    def counted(checker, *partition):
+        decided.append(partition)
+        return decide(checker, *partition)
 
     monkeypatch.setattr(man, "combinations_with_replacement", counted_walk)
-    monkeypatch.setattr(man._ProfileChecker, "accepts", counted)
-    assert not solve_manipulation_bruteforce(inst, cap=120).yes
-    assert len(walked) == 120
-    assert len(decided) == 64
+    monkeypatch.setattr(man._ProfileChecker, "decide", counted)
+    return walked, decided
+
+
+@pytest.mark.parametrize("order", [1, -1])
+@pytest.mark.parametrize("pool", ["auto", "unrestricted"])
+def test_split_walk_stops_at_the_first_witness(monkeypatch, order, pool):
+    # on the AV tie all 3**4 count vectors are decided up front, then the
+    # walk meets the multisets in order and stops at the first accepted one
+    inst, pool = av_tie(order, pool)
+    expected, pools = fresh_checker_bruteforce(inst, pool)
+    walked, decided = count_walk_and_decisions(monkeypatch)
+    verdict = solve_manipulation_bruteforce(inst, pool=pool)
+    assert verdict.yes and verdict.witness == expected.witness
+    assert certify_manipulation(inst, verdict.witness)
+    assert len(decided) == 3**4
+    profiles = list(combinations_with_replacement(pools[0], 2))
+    assert walked == profiles[: profiles.index(verdict.witness) + 1]
 
 
 def test_split_cap_counts_distinct_ballots_per_pool(monkeypatch):
@@ -578,7 +750,7 @@ def test_padded_sdcm_certifies_without_the_partition(monkeypatch):
     def refuse(*args):
         raise AssertionError("certification decided SDCM through the threshold partition")
 
-    monkeypatch.setattr(man, "_sd_accepts_partition", refuse)
+    monkeypatch.setattr(man._ProfileChecker, "decide", refuse)
     assert certify_manipulation(inst, verdict.witness)
     assert not certify_manipulation(inst, inst.manipulative_votes)
 
@@ -594,7 +766,7 @@ def test_padded_cbcm_certifies_without_the_partition(monkeypatch):
     def refuse(*args):
         raise AssertionError("certification decided CBCM through the threshold partition")
 
-    monkeypatch.setattr(man, "_partition_sets", refuse)
+    monkeypatch.setattr(man._ProfileChecker, "decide", refuse)
     assert certify_manipulation(inst, verdict.witness)
     assert not certify_manipulation(inst, inst.manipulative_votes)
 
