@@ -278,9 +278,9 @@ class _ProfileChecker:
     def _scores(self, profile) -> list:
         scores = list(self.base)
         for ballot in profile:
-            weight = self.weight.get(len(ballot))
+            weight = self.weight.get(len(ballot), 1 if self.rule.kind == "AV" else None)
             if weight is None or not self.bit.keys() >= ballot:
-                # a new ballot size or candidate: grow the scale or the bits, start over
+                # a new candidate, or a new size outside AV (every AV size weighs 1): start over
                 self._sizes.update(len(b) for b in profile)
                 self.touch(frozenset().union(*profile))
                 return self._scores(profile)

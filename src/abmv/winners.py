@@ -1,14 +1,16 @@
 """Winning-committee enumeration and the J-CC decision problem.
 
-`winning_committees` is the ground truth the strategic solvers are
-checked against: exhaustive search over all k-committees, with an
-additive shortcut through the threshold partition that must agree with
-it. `j_cc` decides whether a candidate set J is contained in every
+`winning_committees` is the ground truth the strategic solvers are checked
+against: exhaustive search over all k-committees, with an additive shortcut
+through the threshold partition that must agree with it. Exhaustive search
+scores the Thiele family and MAV in integers from tables built once per
+election; `core.committee_score` is the `Fraction` specification they must
+match. `j_cc` decides whether a candidate set J is contained in every
 winning k-committee, either by brute force or from the optimal
-per-approval-class count vectors. The class-count enumeration has at
-most 2^n classes for n votes, so it walks polynomially many vectors in
-the number of candidates for a fixed n; it is not the integer-program
-bound of the paper's fixed-parameter algorithm.
+per-approval-class count vectors. The class-count enumeration has at most
+2^n classes for n votes, so it walks polynomially many vectors in the number
+of candidates for a fixed n; it is not the integer-program bound of the
+paper's fixed-parameter algorithm.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, islice
 from typing import Optional
 
@@ -75,7 +78,8 @@ def winning_committees(
 
     The partition strategy is legal only for additive rules and must
     return the same set as exhaustive search. Exhaustive search refuses
-    to enumerate past its cap rather than truncate.
+    to enumerate past its cap rather than truncate; outside the additive
+    rules it compares `core.committee_score` times one scale, as ints.
     """
     if not 0 < k <= election.m:
         raise core.DomainError(f"k={k} out of range")
@@ -92,17 +96,38 @@ def winning_committees(
         raise ResourceCapError(
             f"{math.comb(election.m, k)} committees exceed the enumeration cap {limit}"
         )
+    scale, score = _scorer(rule, election, k)
     best = None
     winners = []
     minimizing = rule.orientation == "minimize"
     for combo in combinations(election.candidates, k):
-        score = committee_score(rule, election, combo)
-        if best is None or (score < best if minimizing else score > best):
-            best = score
+        s = score(combo)
+        if best is None or (s < best if minimizing else s > best):
+            best = s
             winners = [combo]
-        elif score == best:
+        elif s == best:
             winners.append(combo)
-    return WinningSet(_sorted_committees(election.index, winners), best)
+    return WinningSet(_sorted_committees(election.index, winners), Fraction(best, scale))
+
+
+def _scorer(rule: Rule, election: Election, k: int) -> tuple:
+    """(scale, score): `score(committee)` is a k-committee's exact score times
+    `scale`. Thiele scores are ints from the ω table `optimal_count_vectors` uses,
+    MAV's from |v Δ W| = |v| + k - 2|v ∩ W|; the additive rules keep the `Fraction`
+    `core.committee_score`, as their exhaustive search is the partition's oracle."""
+    if rule.is_additive:
+        return 1, partial(committee_score, rule, election)
+    votes = election.votes
+    sizes = [len(v) for v in votes]
+    scale, omega = (1, None) if rule.kind == "MAV" else core.omega_table(rule, min(k, max(sizes, default=0)))
+
+    def score(committee):
+        members = frozenset(committee)
+        if omega is None:  # with no votes every committee ties at 0
+            return max([size + k - 2 * len(v & members) for size, v in zip(sizes, votes)], default=0)
+        return sum([omega[len(v & members)] for v in votes])
+
+    return scale, score
 
 
 def _winning_by_partition(rule, election, k, cap):

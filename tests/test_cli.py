@@ -79,6 +79,42 @@ def test_partition_winners_print_the_exhaustive_bytes(example_files, rule):
     assert outputs[0].stdout == outputs[1].stdout
 
 
+EXHAUSTIVE_BYTES = {
+    ("example1.json", "pav"): '{"committees":[["x","y","a"],["x","z","a"],["y","z","a"]],'
+                              '"k":3,"optimum":"83/6","rule":"pav"}',
+    ("example1.json", "abccv"): '{"committees":[["x","a","b"],["y","a","b"],["z","a","b"],["x","a","c"],'
+                                '["y","a","c"],["z","a","c"],["x","b","c"],["y","b","c"],["z","b","c"],'
+                                '["x","c","d1"],["y","c","d1"],["z","c","d1"],["x","b","d2"],["y","b","d2"],'
+                                '["z","b","d2"],["a","b","d3"],["a","c","d3"]],"k":3,"optimum":"10","rule":"abccv"}',
+    ("example1.json", "mav"): '{"committees":[["x","y","a"],["x","z","a"],["y","z","a"],["x","a","b"],'
+                              '["y","a","b"],["z","a","b"],["x","a","c"],["y","a","c"],["z","a","c"],'
+                              '["x","b","c"],["y","b","c"],["z","b","c"],["x","a","d1"],["y","a","d1"],'
+                              '["z","a","d1"],["x","c","d1"],["y","c","d1"],["z","c","d1"],["x","a","d2"],'
+                              '["y","a","d2"],["z","a","d2"],["x","b","d2"],["y","b","d2"],["z","b","d2"],'
+                              '["x","d1","d2"],["y","d1","d2"],["z","d1","d2"],["x","a","d3"],["y","a","d3"],'
+                              '["z","a","d3"],["a","b","d3"],["a","c","d3"],["a","d1","d3"],["a","d2","d3"]],'
+                              '"k":3,"optimum":"5","rule":"mav"}',
+    ("example1.json", "thiele"): '{"committees":[["x","y","a"],["x","z","a"],["y","z","a"]],'
+                                 '"k":3,"optimum":"86/7","rule":"thiele"}',
+    ("example2_CD.json", "pav"): '{"committees":[["a","b","c"],["a","b","d"]],"k":3,"optimum":"7/2","rule":"pav"}',
+    ("example2_CD.json", "abccv"): '{"committees":[["a","b","c"],["a","b","d"],["b","c","d"]],'
+                                   '"k":3,"optimum":"3","rule":"abccv"}',
+    ("example2_CD.json", "mav"): '{"committees":[["a","b","c"],["a","b","d"],["b","c","d"]],'
+                                 '"k":3,"optimum":"3","rule":"mav"}',
+    ("example2_CD.json", "thiele"): '{"committees":[["a","b","c"],["a","b","d"]],'
+                                    '"k":3,"optimum":"10/3","rule":"thiele"}',
+}
+
+
+@pytest.mark.parametrize("name,rule", sorted(EXHAUSTIVE_BYTES), ids="-".join)
+def test_exhaustive_winners_bytes_are_pinned(example_files, capsys, name, rule):
+    # recorded from the Fraction-scored enumeration; ω-Thiele is 0, 1, 4/3, 11/7
+    omega = ["--omega", "0,1,4/3,11/7"] if rule == "thiele" else []
+    args = ["winners", "--rule", rule, *omega, "-k", "3", "--algo", "exhaustive", "--json"]
+    assert cli.main(args + [str(example_files / name)]) == 0
+    assert capsys.readouterr().out == EXHAUSTIVE_BYTES[name, rule] + "\n"
+
+
 def test_package_runs_as_a_module(tmp_path):
     proc = run_cli(["--help"], tmp_path, module="abmv")
     assert proc.returncode == 0, proc.stderr

@@ -651,6 +651,36 @@ def test_additive_acceptance_matches_the_definition(case):
         assert checker.accepts(profile) == reference_accepts(inst, profile), profile
 
 
+@pytest.mark.parametrize("rule,size_rescales", [(AV, 0), (SAV, 1)], ids=["av", "sav"])
+def test_new_ballot_sizes_rescore_only_outside_av(rule, size_rescales, monkeypatch):
+    """The honest ballots all have two members. Profiles of one and three
+    members rescore the roster once under SAV, whose scale grows, and never
+    under AV, where every size weighs 1; a new candidate rescores under
+    both. One checker decides as the definition and a fresh checker do."""
+    cands = ["a", "b", "c", "d", "e"]
+    honest = [{"a", "b"}, {"c", "d"}, {"d", "e"}, {"a", "e"}]
+    manip = [{"a", "b", "c"}, {"b"}]
+    ws = winners.winning_committees(rule, Election(cands, honest + manip), 2, "exhaustive")
+    inst = ManipulationInstance(rule, "CBCM", cands, honest, manip, 2, frozenset(ws.committees[0]))
+    rescale, calls = man._ProfileChecker._rescale, []
+
+    def counted(checker):
+        calls.append(checker)
+        return rescale(checker)
+
+    monkeypatch.setattr(man._ProfileChecker, "_rescale", counted)
+    checker = man._ProfileChecker(inst)
+    new_sizes = [({"a"}, {"a", "b", "c"}), ({"b", "c"}, {"c"}), (set(), {"a", "b", "c"}), ({"b"}, {"b"})]
+    new_candidate = [({"a", "d"}, {"b"})]
+    for expected_calls, profiles in ((1 + size_rescales, new_sizes), (2 + size_rescales, new_candidate)):
+        for profile in profiles:
+            profile = tuple(map(frozenset, profile))
+            verdict = checker.accepts(profile)
+            assert verdict == reference_accepts(inst, profile), profile
+            assert verdict == man._ProfileChecker(inst).accepts(profile), profile
+        assert calls.count(checker) == expected_calls
+
+
 @settings(max_examples=100, deadline=None)
 @given(padded_additive_profiles(), st.data())
 def test_partition_acceptance_matches_the_definition(case, data):

@@ -1,10 +1,11 @@
 import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from rules import COPRIME_THIELE
 
@@ -119,6 +120,60 @@ class TestWinningCommittees:
                 assert winning_committees(rule, e, k, "partition") == winning_committees(
                     rule, e, k, "exhaustive"
                 )
+
+
+# every table reaches overlap 7; the last one's gains 1, 2, 1/2, 5/2, 0, 1, 3 are not concave
+EXHAUSTIVE_RULES = (
+    AV, SAV, NSAV, PAV, ABCCV, MAV, COPRIME_THIELE, core.thiele([0, 1, 3, Fraction(7, 2), 6, 6, 7, 10]),
+)
+
+
+@st.composite
+def exhaustive_cases(draw):
+    """Up to 7 candidates and 6 votes, some empty or the whole roster,
+    any k up to m and k = m often."""
+    m = draw(st.integers(1, 7))
+    cands = [f"c{i}" for i in range(m)]
+    ballot = st.frozensets(st.sampled_from(cands)) | st.sampled_from([frozenset(), frozenset(cands)])
+    votes = draw(st.lists(ballot, max_size=6))
+    k = draw(st.just(m) | st.integers(1, m))
+    return draw(st.sampled_from(EXHAUSTIVE_RULES)), Election(cands, votes), k
+
+
+def fraction_winners(rule, election, k):
+    """The argmax (argmin for MAV) k-committees by `core.committee_score`,
+    colexicographically ordered, and the optimum."""
+    scores = {w: core.committee_score(rule, election, w) for w in itertools.combinations(election.candidates, k)}
+    best = (min if rule.orientation == "minimize" else max)(scores.values())
+    won = [w for w, score in scores.items() if score == best]
+    return tuple(sorted(won, key=lambda w: [election.index(c) for c in reversed(w)])), best
+
+
+class TestExhaustiveScoring:
+    """Exhaustive winners against the `Fraction` specification
+    `core.committee_score`, which the Thiele family and MAV reach through
+    integer scores."""
+
+    @given(exhaustive_cases())
+    @example((MAV, Election(["a", "b"], []), 2))
+    @example((NSAV, Election(["a", "b", "c"], [set(), {"a", "b", "c"}, {"a"}]), 3))
+    @example((COPRIME_THIELE, Election([f"c{i}" for i in range(7)], [{f"c{i}" for i in range(7)}] * 2), 7))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_fraction_scores(self, case):
+        rule, e, k = case
+        ws = winning_committees(rule, e, k, "exhaustive")
+        committees, optimum = fraction_winners(rule, e, k)
+        assert ws.committees == committees
+        assert isinstance(ws.optimum, Fraction) and ws.optimum == optimum
+
+    def test_short_omega_table_is_a_configuration_error(self):
+        # a vote of size 3 and k = 3 reach overlap 3, which [0, 1, 3/2] lacks
+        e = Election(["a", "b", "c", "d"], [{"a", "b", "c"}, {"d"}])
+        short = core.thiele([0, 1, Fraction(3, 2)])
+        with pytest.raises(ConfigurationError):
+            winning_committees(short, e, 3, "exhaustive")
+        with pytest.raises(ConfigurationError):
+            j_cc(short, JccInstance(e, 3, {"d"}), "bruteforce")
 
 
 class TestMavSingleWinners:
