@@ -69,7 +69,9 @@ class Election:
     Instances are immutable after construction and safe to share.
     `_index` (behind `index`) and `approver_sets` hold one entry per
     candidate; the padded-roster paths (class scores, partition winners,
-    additive J-CC) go through `approval_classes`, which builds neither.
+    additive J-CC, and the class-count walk behind fptn J-CC and
+    `optimal_score_by_classes`) go through `approval_classes`, which
+    builds neither.
     """
 
     candidates: tuple

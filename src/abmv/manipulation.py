@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
 from typing import Iterable, Optional, Sequence
@@ -147,57 +148,57 @@ def sd_dominates(coll_a, coll_b, subject: Iterable[str]) -> SdVerdict:
 #
 # The additive path reads everything off the threshold partition, held
 # as bit masks over the candidates ballots can touch and as counts over
-# the roster. The general path groups candidates into clone classes of
-# the manipulated election (refined so that truthful ballots and the
-# displaced committee are unions of classes) and enumerates committees
-# as per-class counts; scores and all acceptance predicates are then
-# count-determined.
+# the roster. The general path walks the optimal count vectors over the
+# approval classes of the manipulated election. Every committee with an
+# optimal vector wins, so each acceptance predicate follows in closed
+# form from the vector, the class sizes and how many members of each
+# class a manipulator ballot or the displaced committee holds.
 
 
-def _refined_classes(election: Election, references: Sequence[frozenset]):
-    """Clone classes refined so each reference set is a union of classes.
+def _class_overlaps(election: Election, references: Sequence[frozenset]) -> list:
+    """Per reference set, {g: |A_g ∩ reference|} over the classes A_g of
+    `election.approval_classes` that meet it."""
+    index = {key: g for g, key in enumerate(election.approval_classes)}
+    votes = election.votes
+    where = {
+        c: index[frozenset(i for i, vote in enumerate(votes) if c in vote)]
+        for c in frozenset().union(*references)
+    }
+    return [Counter(map(where.__getitem__, r)) for r in references]
 
-    Returns (class_members, in_reference): class_members lists
-    roster-ordered member tuples whose members share an approver set,
-    in the roster order of their first members; in_reference[r] is the set
-    of classes inside reference r.
+
+def _distribution(rule, election, k, subjects, cap):
+    """(total, per subject: how many winning committees meet each overlap
+    level), with the winning committees counted through their count vectors.
+
+    A vector c stands for prod C(|A|, c_A) committees. Of those, the ones
+    taking j members of subject v from class A number
+    C(|A ∩ v|, j)·C(|A| − |A ∩ v|, c_A − j) in A, so the counts per
+    overlap level are the convolution of these over the classes.
     """
-    keys = {}
-    for c in election.candidates:
-        key = (election.approver_sets[c],) + tuple(c in r for r in references)
-        keys.setdefault(key, []).append(c)
-    in_ref = [frozenset(g for g, key in enumerate(keys) if key[1 + r]) for r in range(len(references))]
-    return [tuple(m) for m in keys.values()], in_ref
-
-
-def _vector_overlap(vector, class_set) -> int:
-    return sum(vector[g] for g in class_set)
-
-
-def _winning_profile_by_classes(rule, election, k, references, cap):
-    """Class sizes, reference-class layout and optimal count vectors for one election."""
-    members, in_ref = _refined_classes(election, references)
-    _, vectors = winners.optimal_count_vectors(rule, election, k, members, cap)
-    return [len(m) for m in members], in_ref, vectors
-
-
-def _distribution(sizes, in_ref_sets, vectors, subjects_idx, k):
-    """Per subject: how many winning committees meet each overlap level.
-
-    Committees are counted through their count vectors; a vector stands
-    for prod(C(size, count)) distinct committees.
-    """
+    _, vectors = winners.optimal_count_vectors(rule, election, k, cap)
+    sizes = [len(members) for members in election.approval_classes.values()]
+    overlaps = _class_overlaps(election, subjects)
     total = 0
-    per_level = {s: [0] * (k + 2) for s in subjects_idx}
+    per_level = [[0] * (k + 2) for _ in subjects]
     for vec in vectors:
-        weight = 1
-        for sz, c in zip(sizes, vec):
-            weight *= math.comb(sz, c)
+        weight = math.prod(math.comb(size, c) for size, c in zip(sizes, vec) if c)
         total += weight
-        for s in subjects_idx:
-            o = _vector_overlap(vec, in_ref_sets[s])
-            per_level[s][min(o, k + 1)] += weight
-    return total, {s: _at_least(per_level[s]) for s in subjects_idx}
+        for inside, counts in zip(overlaps, per_level):
+            levels, rest = [1], weight
+            for g, a in inside.items():
+                c, size = vec[g], sizes[g]
+                if c:
+                    rest //= math.comb(size, c)
+                    convolved = [0] * (len(levels) + min(a, c))
+                    for j in range(min(a, c) + 1):
+                        ways = math.comb(a, j) * math.comb(size - a, c - j)
+                        for o, n in enumerate(levels):
+                            convolved[o + j] += n * ways
+                    levels = convolved
+            for o, n in enumerate(levels):
+                counts[o] += rest * n
+    return total, [_at_least(counts) for counts in per_level]
 
 
 def _at_least(counts) -> list:
@@ -233,8 +234,9 @@ class _ProfileChecker:
     the one additive acceptance: profiles reach it through
     `accepts_scores`, as do split-mode brute force's AV count vectors,
     and the FPT search's guessed partitions call it directly. Other rules
-    go through the clone class evaluator. For SDCM the truthful winning
-    distribution is computed once up front with the class evaluator.
+    go through `_general_accepts`, which reads the optimal count vectors
+    over the manipulated election's approval classes. For SDCM the
+    truthful winning distribution is computed once up front the same way.
     """
 
     def __init__(self, instance: ManipulationInstance, cap=None):
@@ -249,12 +251,8 @@ class _ProfileChecker:
             self.touch(instance.approved_union)
             self._voters = [(self.mask(v), self.mask(v & w), len(v & w)) for v in instance.manipulative_votes]
         if instance.variant == "SDCM":
-            refs = list(instance.manipulative_votes)
-            sizes, in_ref, vectors = _winning_profile_by_classes(
-                self.rule, instance.full_election, instance.k, refs, cap
-            )
             self.old_distribution = _distribution(
-                sizes, in_ref, vectors, range(len(refs)), instance.k
+                self.rule, instance.full_election, instance.k, instance.manipulative_votes, cap
             )
 
     def touch(self, candidates):
@@ -342,34 +340,28 @@ class _ProfileChecker:
     def _general_accepts(self, profile) -> bool:
         inst = self.instance
         election = inst.election_with(profile)
-        refs = list(inst.manipulative_votes)
-        if inst.current_committee is not None:
-            refs.append(inst.current_committee)
-        sizes, in_ref, vectors = _winning_profile_by_classes(
-            self.rule, election, inst.k, refs, self.cap
-        )
         if inst.variant == "SDCM":
-            new = _distribution(sizes, in_ref, vectors, range(inst.t), inst.k)
-            old_total, old_cum = self.old_distribution
-            for i in range(inst.t):
-                if not _sd_dominates_distribution(
-                    new[0], new[1][i], old_total, old_cum[i], inst.k
-                ):
-                    return False
-            return True
-        w_classes = in_ref[-1]
-        for i, v in enumerate(inst.manipulative_votes):
-            v_classes = in_ref[i]
-            old_overlap = len(v & inst.current_committee)
-            shared = v_classes & w_classes
+            total, levels = _distribution(self.rule, election, inst.k, inst.manipulative_votes, self.cap)
+            old_total, old_levels = self.old_distribution
+            return all(
+                _sd_dominates_distribution(total, new, old_total, old, inst.k)
+                for new, old in zip(levels, old_levels)
+            )
+        _, vectors = winners.optimal_count_vectors(self.rule, election, inst.k, self.cap)
+        sizes = [len(members) for members in election.approval_classes.values()]
+        w, votes = inst.current_committee, inst.manipulative_votes
+        kept = [v & w for v in votes] if inst.variant == "SBCM" else []
+        overlaps = _class_overlaps(election, [*votes, *kept])
+        for i, v in enumerate(votes):
+            inside, old = overlaps[i], len(v & w)
             for vec in vectors:
-                gained = _vector_overlap(vec, v_classes)
-                if gained <= old_overlap:
+                # the fewest members of v a committee with this vector holds
+                if sum(max(0, vec[g] - sizes[g] + a) for g, a in inside.items()) <= old:
                     return False
-                if inst.variant == "SBCM":
-                    # every member of v ∩ w must appear in every winning committee
-                    if any(vec[g] != sizes[g] for g in shared):
-                        return False
+                # SBCM: every such committee holds v ∩ w iff it takes all of
+                # each class that meets v ∩ w
+                if kept and any(vec[g] != sizes[g] for g in overlaps[inst.t + i]):
+                    return False
         return True
 
 
@@ -378,9 +370,10 @@ def certify_manipulation(instance: ManipulationInstance, profile: Sequence[froze
 
     Runs the plain definition (enumerate winning committees, test every
     manipulator) whenever the committee space is enumerable; otherwise
-    falls back to the clone-class evaluation, never to the threshold
-    partition the searches decide additive profiles with, so their
-    witnesses are still checked independently.
+    falls back to `_general_accepts`, the closed forms over the optimal
+    count vectors of the manipulated election's approval classes, never
+    to the threshold partition the searches decide additive profiles
+    with, so their witnesses are still checked independently.
     """
     if len(profile) != instance.t:
         return False
@@ -497,10 +490,11 @@ def solve_manipulation_bruteforce(
     `split` lets every manipulator pick independently; `common` assigns
     one shared base ballot (each manipulator may still add its private
     blocks, which is how the structured constructions are searched).
-    The default pool restricts ballots to candidates some manipulator
-    truthfully approves — exact for additive rules — joined with the
-    displaced committee for the other rules; `unrestricted` is the
-    escape hatch.
+    The default pool (`auto`) restricts ballots to candidates some
+    manipulator truthfully approves for additive rules, which is exact
+    there, and searches the full roster for the other rules, where no
+    such restriction is sound; `with_committee` joins the approved union
+    with the displaced committee, and `unrestricted` is the full roster.
 
     Profiles are walked in one fixed order and every accepted profile is
     certified by `certify_manipulation`. Under AV with split ballots,

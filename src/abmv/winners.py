@@ -182,21 +182,22 @@ def mav_single_winners(election: Election) -> frozenset:
 # candidates for a fixed vote count)
 
 
-def optimal_count_vectors(rule: Rule, election: Election, k: int, classes, cap: Optional[int] = None) -> tuple:
+def optimal_count_vectors(rule: Rule, election: Election, k: int, cap: Optional[int] = None) -> tuple:
     """(optimum, every optimal count vector) over the k-committees.
 
-    `classes` partitions the roster into tuples of candidates sharing
-    one approver set. Such candidates are interchangeable, so a
-    committee's score depends only on how many members it takes from
-    each class; this stays feasible when the roster is huge but the vote
+    Entry g of a vector is how many members a committee takes from the
+    g-th class of `election.approval_classes`, whose key names the class's
+    approvers. Members of a class are interchangeable, so a committee's
+    score depends only on its vector, and every committee with an optimal
+    vector wins; this stays feasible when the roster is huge but the vote
     multiset is small. Vectors are enumerated depth-first from an
     explicit stack, smallest counts first, and returned in that order.
     Every visited node, pruned or not, counts against the cap. The
     optimum is None when no vector fills k seats.
     """
     limit = effective_cap(cap if cap is not None else GUESS_CAP)
-    sizes = [len(members) for members in classes]
-    approvers = [election.approver_sets[members[0]] for members in classes]
+    approvers = list(election.approval_classes)
+    sizes = [len(members) for members in election.approval_classes.values()]
     suffix = [0] * (len(sizes) + 1)
     for g in range(len(sizes) - 1, -1, -1):
         suffix[g] = suffix[g + 1] + sizes[g]
@@ -260,7 +261,7 @@ def optimal_count_vectors(rule: Rule, election: Election, k: int, classes, cap: 
 
 def optimal_score_by_classes(rule: Rule, election: Election, k: int, cap: Optional[int] = None) -> Fraction:
     """Optimum committee score, enumerated as per-approval-class member counts."""
-    best, _ = optimal_count_vectors(rule, election, k, tuple(election.approval_classes.values()), cap)
+    best, _ = optimal_count_vectors(rule, election, k, cap)
     if best is None:
         raise core.DomainError("k exceeds the number of candidates")
     return best
@@ -313,6 +314,6 @@ def _jcc_fptn(rule: Rule, instance: JccInstance, cap) -> bool:
     classes = tuple(election.approval_classes.values())
     if len(classes) > limit:
         raise ResourceCapError("too many approval classes for the fptn path")
-    _, vectors = optimal_count_vectors(rule, election, k, classes, cap)
+    _, vectors = optimal_count_vectors(rule, election, k, cap)
     tagged = [g for g, members in enumerate(classes) if not wanted.isdisjoint(members)]
     return all(v[g] == len(classes[g]) for v in vectors for g in tagged)

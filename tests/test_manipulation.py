@@ -5,6 +5,7 @@ from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from rules import COPRIME_THIELE
 
 from abmv import core, manipulation as man, reductions as red, verification as ver, winners
 from abmv.core import (
@@ -697,6 +698,101 @@ def test_partition_acceptance_matches_the_definition(case, data):
     checker = man._ProfileChecker(inst)
     decided = checker.decide(checker.mask(swin), len(swin), checker.mask(pwin), len(pwin))
     assert decided == reference_accepts_split(inst, swin, pwin)
+
+
+@st.composite
+def clone_heavy_profiles(draw):
+    """A PAV, ABCCV, MAV or `COPRIME_THIELE` instance whose roster falls
+    into up to three blocks of clones, and profiles to decide with one
+    checker.
+
+    Honest ballots are unions of blocks, and so are many cast ballots, so
+    the manipulated election keeps large approval classes; truthful
+    ballots and the displaced committee may take part of one. The other
+    profiles lean to YES: all manipulators cast one k-subset of their
+    union.
+    """
+    rule = draw(st.sampled_from([PAV, ABCCV, MAV, COPRIME_THIELE]))
+    variant = draw(st.sampled_from(man.VARIANTS))
+    m = draw(st.integers(3, 7))
+    cands = [f"c{i}" for i in range(m)]
+    cuts = sorted(draw(st.sets(st.integers(1, m - 1), max_size=2)))
+    blocks = [frozenset(cands[a:b]) for a, b in zip([0, *cuts], [*cuts, m])]
+    unions = st.sets(st.sampled_from(blocks)).map(lambda chosen: frozenset().union(*chosen))
+    honest = draw(st.lists(unions, max_size=4))
+    t = draw(st.integers(1, 3))
+    manip = draw(st.lists(st.frozensets(st.sampled_from(cands), min_size=1), min_size=t, max_size=t))
+    k = draw(st.integers(1, m))
+    committee = None
+    if variant != "SDCM":
+        ws = winners.winning_committees(rule, Election(cands, honest + manip), k, "exhaustive")
+        # the winner the manipulators like least leaves them the most to gain
+        committee = min(ws.committees, key=lambda w: sum(len(v & set(w)) for v in manip))
+    inst = ManipulationInstance(rule, variant, cands, honest, manip, k, committee)
+    union = sorted(inst.approved_union)
+    cast = st.one_of(unions, st.frozensets(st.sampled_from(cands)))
+    profile = st.lists(cast, min_size=t, max_size=t).map(tuple)
+    if len(union) >= k:
+        common = st.sets(st.sampled_from(union), min_size=k, max_size=k).map(lambda s: (frozenset(s),) * t)
+        profile = st.one_of(profile, common)
+    return inst, draw(st.lists(profile, min_size=1, max_size=3))
+
+
+def defined_accepts(inst, profile):
+    """Acceptance by the definition, over the exhaustive winners of the
+    manipulated election."""
+    new = winners.winning_committees(inst.rule, inst.election_with(profile), inst.k, "exhaustive").committees
+    if inst.variant == "SDCM":
+        old = winners.winning_committees(inst.rule, inst.full_election, inst.k, "exhaustive").committees
+        return all(sd_dominates(new, old, v).dominates for v in inst.manipulative_votes)
+    which = "cardinality" if inst.variant == "CBCM" else "subset"
+    return all(prefers(which, v, w, inst.current_committee) for v in inst.manipulative_votes for w in new)
+
+
+def _acceptance_case(rule, variant, m, honest, manip, k, committee, profile):
+    cands = [f"c{i}" for i in range(m)]
+    inst = ManipulationInstance(rule, variant, cands, honest, manip, k, committee)
+    return inst, [tuple(map(frozenset, profile))]
+
+
+# cases where a truthful ballot or the displaced committee holds part of an
+# approval class of the manipulated election; all but the third and fourth
+# are YES
+ACCEPTANCE_CASES = [
+    # the one winner {c1, c2} takes nobody from the class {c0, c3, c4}, which holds c4 of v
+    (ABCCV, "SBCM", 5, [{"c2"}, set(), {"c0", "c1", "c2", "c3", "c4"}], [{"c1", "c2", "c4"}], 2, {"c0", "c2"},
+     [{"c1"}]),
+    (ABCCV, "CBCM", 4, [{"c3"}, {"c0", "c1", "c2", "c3"}, set(), {"c3"}], [{"c1", "c2", "c3"}] * 2, 2,
+     {"c0", "c3"}, [{"c1"}] * 2),
+    # every winner holds c3 and one of {c0, c1}, so some winner drops c0 of v ∩ W
+    (ABCCV, "SBCM", 5, [set(), {"c0", "c1"}], [{"c0", "c1", "c3"}], 2, {"c0", "c2"}, [{"c3"}]),
+    (ABCCV, "SDCM", 4, [set()], [{"c0", "c2"}], 2, None, [{"c0", "c1"}]),
+    (MAV, "CBCM", 5, [set(), {"c1", "c2", "c3", "c4"}], [{"c1", "c4"}] * 2, 2, {"c1", "c2"}, [{"c0", "c1", "c4"}] * 2),
+    (MAV, "SBCM", 6, [{"c0"}], [{"c0", "c1", "c3"}], 5, {"c0", "c1", "c2", "c4", "c5"}, [{"c1", "c3"}]),
+    (PAV, "SBCM", 6, [{"c0", "c1"}, {"c0", "c2", "c3", "c4", "c5"}, {"c0", "c1"}], [{"c0", "c2", "c3", "c4"}], 2,
+     {"c0", "c1"}, [{"c2"}]),
+    (PAV, "SDCM", 4, [{"c0"}, {"c0"}], [{"c2"}, {"c3"}], 1, None, [{"c2", "c3"}] * 2),
+    (COPRIME_THIELE, "SDCM", 6, [{"c1", "c2", "c3", "c4", "c5"}, {"c0", "c1", "c2", "c3", "c4", "c5"}, set()],
+     [{"c0", "c1", "c2", "c4", "c5"}, {"c0", "c3", "c4", "c5"}], 3, None, [{"c0", "c4", "c5"}] * 2),
+]
+
+
+def _with_acceptance_cases(test):
+    for case in ACCEPTANCE_CASES:
+        test = example(_acceptance_case(*case))(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None)
+@_with_acceptance_cases
+@given(clone_heavy_profiles())
+def test_general_acceptance_matches_the_definition(case):
+    """The closed forms over the manipulated election's approval classes,
+    where truthful ballots and the displaced committee cut classes."""
+    inst, profiles = case
+    checker = man._ProfileChecker(inst)
+    for profile in profiles:
+        assert checker._general_accepts(profile) == defined_accepts(inst, profile), profile
 
 
 def test_split_cap_counts_walked_profiles(monkeypatch):

@@ -300,13 +300,24 @@ class TestClassCountEnumeration:
                 for rule in self.RULES:
                     ws = winning_committees(rule, e, k, strategy="exhaustive")
                     assert winners.optimal_score_by_classes(rule, e, k) == ws.optimum
-                    best, vectors = winners.optimal_count_vectors(rule, e, k, classes)
+                    best, vectors = winners.optimal_count_vectors(rule, e, k)
                     assert best == ws.optimum
                     assert len(set(vectors)) == len(vectors)
                     assert set(vectors) == {
                         tuple(len(set(w) & set(members)) for members in classes)
                         for w in ws.committees
                     }
+
+    @pytest.mark.parametrize("rule", [PAV, ABCCV, MAV])
+    def test_class_walk_builds_no_whole_roster_table(self, rule):
+        base = Election(["a", "b", "c", "d"], [{"a", "b"}, {"b", "c"}, {"c"}])
+        e = core.pad_with_dummies(base, 2000)
+        truth = winning_committees(rule, base, 2, strategy="exhaustive")
+        assert winners.optimal_score_by_classes(rule, e, 2) == truth.optimum
+        for c in base.candidates:
+            wanted = all(c in w for w in truth.committees)
+            assert j_cc(rule, JccInstance(e, 2, {c}), algo="fptn") == wanted
+        assert "approver_sets" not in e.__dict__
 
     def test_deep_class_layout(self, monkeypatch):
         # one class per candidate: 1,100 classes deep, far past the recursion limit
