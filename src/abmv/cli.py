@@ -71,6 +71,8 @@ def cmd_score(args) -> int:
     election = serialize.load_election(_read_json(args.input))
     if args.committee:
         members = args.committee.split(",")
+        if len(set(members)) != len(members):
+            raise ValidationError(f"committee {args.committee!r} repeats a member")
         value = core.committee_score(rule, election, members)
         label = "{" + ",".join(members) + "}"
     elif args.candidate:

@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice, product
+from itertools import combinations, compress, islice, product
 from typing import Optional, Sequence
 
 from abmv import core, ipcore, winners
@@ -199,14 +199,17 @@ def _solution_stream(instance: ControlInstance, deletion_pool=None):
 class _AdditiveControlOracle:
     """J-CC after any control action under AV, SAV or NSAV, without an Election.
 
-    Identical ballots collapse into ballot types with multiplicities, and
-    the approved pool candidates into classes keyed by the ballot types
-    approving them; never-approved candidates are only counted, so a
-    padded roster costs nothing per clone. Each class keeps a histogram
-    of its approvers' ballot sizes. An action moves the added, deleted
-    or shrunk ballot types between size buckets, and class scores sum the
-    `core.size_weights` of the action's live sizes (integers that keep
-    the order of the exact scores, not their values).
+    Identical ballots collapse into ballot types with multiplicities and
+    live sizes (the ballot restricted to the registered roster), and the
+    approved pool candidates into classes keyed by the ballot types
+    approving them; the class of no types only counts the never-approved
+    candidates, so a padded roster costs nothing per clone. An action
+    changes the multiplicities (voter control) or the sizes and class
+    counts (candidate control). Each ballot type is then worth its
+    multiplicity times the `core.size_weights` of its size, and a class
+    scores the worths of its types: integers that keep the order of the
+    exact scores, not their values. A voter action's verdict depends only
+    on the ballot types it deletes and adds, so it is decided once per pair.
     """
 
     def __init__(self, instance: ControlInstance):
@@ -220,7 +223,6 @@ class _AdditiveControlOracle:
             type_id.setdefault(ballot, len(type_id))
         self.registered_type = [type_id[b] for b in instance.registered_votes]
         self.unregistered_type = [type_id[b] for b in instance.unregistered_votes]
-        # live size: the ballot restricted to the registered roster
         self.size = [len(b) - len(b & unregistered) for b in type_id]
         self.mult = [0] * len(type_id)
         for t in self.registered_type:
@@ -229,85 +231,52 @@ class _AdditiveControlOracle:
         for ballot, t in type_id.items():
             for c in ballot:
                 approving.setdefault(c, []).append(t)
-        # class 0 holds every never-approved candidate
-        self.class_types = [()]
-        self.class_count = [self.m - len(approving.keys() - unregistered)]
-        self.class_of: dict = {}
-        index_of: dict = {}
-        for c, types in approving.items():
-            key = tuple(types)
-            if key not in index_of:
-                index_of[key] = len(self.class_types)
-                self.class_types.append(key)
-                self.class_count.append(0)
-            self.class_of[c] = index_of[key]
-            if c not in unregistered:
-                self.class_count[index_of[key]] += 1
-        self.type_classes = [[] for _ in type_id]
-        self.histogram = []
-        for ci, types in enumerate(self.class_types):
-            hist: dict = {}
-            for t in types:
-                self.type_classes[t].append(ci)
-                if self.mult[t]:
-                    hist[self.size[t]] = hist.get(self.size[t], 0) + self.mult[t]
-            self.histogram.append(hist)
-        self.totals: dict = {}
-        for t, count in enumerate(self.mult):
-            if count:
-                self.totals[self.size[t]] = self.totals.get(self.size[t], 0) + count
-        self.wanted_classes = {self.class_of.get(c, 0) for c in self.wanted}
+        self.approving = {c: tuple(types) for c, types in approving.items()}
+        self.class_count = {(): self.m - len(approving.keys() - unregistered)}
+        for c, types in self.approving.items():
+            self.class_count[types] = self.class_count.get(types, 0) + (c not in unregistered)
+        self.wanted_classes = {self.approving.get(c, ()) for c in self.wanted}
+        self.weights: dict = {}
+        self.verdicts: dict = {}
 
     def jcc_after(self, solution: ControlSolution) -> bool:
         """Decide J-CC on `apply_control(instance, solution)` without building it."""
+        if solution.deleted_votes or solution.added_votes:
+            deleted = sorted(self.registered_type[i] for i in solution.deleted_votes)
+            added = sorted(self.unregistered_type[i] for i in solution.added_votes)
+            key = (tuple(deleted), tuple(added))
+            if key not in self.verdicts:
+                mult = list(self.mult)
+                for t in deleted:
+                    mult[t] -= 1
+                for t in added:
+                    mult[t] += 1
+                self.verdicts[key] = self._decide(self.m, mult, self.size, self.class_count)
+            return self.verdicts[key]
         if not self.wanted.isdisjoint(solution.deleted_candidates):
             return False
         m = self.m + len(solution.added_candidates) - len(solution.deleted_candidates)
         if m < self.k:
             return False
-        # (ballot type, size bucket) -> change in live votes
-        bucket_delta: dict = {}
-        for sign, ids, types in (
-            (-1, solution.deleted_votes, self.registered_type),
-            (1, solution.added_votes, self.unregistered_type),
-        ):
-            for i in ids:
-                key = (types[i], self.size[types[i]])
-                bucket_delta[key] = bucket_delta.get(key, 0) + sign
-        counts = list(self.class_count)
-        shift: dict = {}
+        size, counts = list(self.size), dict(self.class_count)
         for sign, cands in ((-1, solution.deleted_candidates), (1, solution.added_candidates)):
             for c in cands:
-                ci = self.class_of.get(c, 0)
-                counts[ci] += sign
-                for t in self.class_types[ci]:
-                    shift[t] = shift.get(t, 0) + sign
-        for t, delta in shift.items():
-            if delta and self.mult[t]:
-                bucket_delta[t, self.size[t]] = -self.mult[t]
-                bucket_delta[t, self.size[t] + delta] = self.mult[t]
-        totals = dict(self.totals)
-        class_delta: dict = {}
-        for (t, s), delta in bucket_delta.items():
-            totals[s] = totals.get(s, 0) + delta
-            for ci in self.type_classes[t]:
-                hist = class_delta.setdefault(ci, {})
-                hist[s] = hist.get(s, 0) + delta
-        _, weight = core.size_weights(self.rule, m, [s for s, count in totals.items() if count])
-        weighted, wanted_scores = [], []
-        for ci, hist in enumerate(self.histogram):
-            if not counts[ci] and ci not in self.wanted_classes:
-                continue
-            if ci in class_delta:
-                hist = dict(hist)
-                for s, delta in class_delta[ci].items():
-                    hist[s] = hist.get(s, 0) + delta
-            score = sum(count * weight[s] for s, count in hist.items() if count)
-            if counts[ci]:
-                weighted.append((score, counts[ci]))
-            if ci in self.wanted_classes:
-                wanted_scores.append(score)
-        return core.jcc_from_scores(weighted, self.k, wanted_scores)
+                types = self.approving.get(c, ())
+                counts[types] += sign
+                for t in types:
+                    size[t] += sign
+        return self._decide(m, self.mult, size, counts)
+
+    def _decide(self, m: int, mult: list, size: list, counts: dict) -> bool:
+        """J-CC among m candidates from ballot-type multiplicities and sizes and class counts."""
+        live = frozenset(compress(size, mult))
+        weight = self.weights.get((m, live))
+        if weight is None:
+            weight = self.weights[m, live] = core.size_weights(self.rule, m, live)[1]
+        worth = [count * weight.get(s, 0) for count, s in zip(mult, size)]
+        weighted = [(sum(map(worth.__getitem__, types)), count) for types, count in counts.items() if count]
+        wanted = [sum(map(worth.__getitem__, types)) for types in self.wanted_classes]
+        return core.jcc_from_scores(weighted, self.k, wanted)
 
 
 def solve_control_bruteforce(

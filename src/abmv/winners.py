@@ -43,7 +43,7 @@ class WinningSet:
     optimum: Fraction
 
     def __contains__(self, members) -> bool:
-        return tuple(members) in self.committees
+        return frozenset(members) in map(frozenset, self.committees)
 
 
 @dataclass(frozen=True)

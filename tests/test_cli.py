@@ -144,6 +144,14 @@ def test_gen_then_solve_control(example_files):
     assert proc2.returncode == 0  # the trivial cover exists
 
 
+def test_score_rejects_a_repeated_committee_member(example_files, capsys):
+    path = str(example_files / "example1.json")
+    assert cli.main(["score", "--rule", "av", "--committee", "x,x", path]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error:")
+    assert cli.main(["score", "--rule", "av", "--committee", "x,y", path]) == cli.EXIT_YES
+    assert capsys.readouterr().out.startswith("{x,y} ")
+
+
 def test_usage_error_exit_two(example_files):
     proc = run_cli(["winners", "--rule", "banana", "-k", "1", "example1.json"], example_files)
     assert proc.returncode == 2

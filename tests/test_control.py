@@ -174,14 +174,77 @@ def additive_control_instances(draw):
     )
 
 
+# an RX3C source whose sets H0-H2, H3-H5 and H6-H8 are each an exact cover
+COVERED_RX3C = red.Rx3cInstance(
+    [f"a{i}" for i in range(9)],
+    [("a0", "a1", "a2"), ("a3", "a4", "a5"), ("a6", "a7", "a8"),
+     ("a0", "a3", "a6"), ("a1", "a4", "a7"), ("a2", "a5", "a8"),
+     ("a0", "a4", "a8"), ("a1", "a5", "a6"), ("a2", "a3", "a7")],
+)
+
+
+def assert_oracle_matches_rebuilt(inst, solutions, algo="auto"):
+    """The oracle's J-CC equals `j_cc` on the rebuilt election for every solution."""
+    oracle = ctl._AdditiveControlOracle(inst)
+    answers = []
+    for solution in solutions:
+        jcc = winners.JccInstance(apply_control(inst, solution), inst.k, inst.distinguished)
+        answers.append(winners.j_cc(inst.rule, jcc, algo=algo))
+        assert oracle.jcc_after(solution) == answers[-1], solution
+    return answers
+
+
 class TestAdditiveControlOracle:
     @settings(max_examples=300, deadline=None)
     @given(additive_control_instances())
     def test_matches_rebuilt_bruteforce_on_every_action(self, inst):
-        oracle = ctl._AdditiveControlOracle(inst)
+        assert_oracle_matches_rebuilt(inst, ctl._solution_stream(inst), algo="bruteforce")
+
+    @pytest.mark.parametrize("ctype", ["CCAC", "CCDC", "CCADC"])
+    def test_matches_rebuilt_bruteforce_on_seeded_candidate_control(self, ctype):
+        rng = random.Random(ctype)
+        for rule in (AV, SAV, NSAV):
+            for _ in range(60):
+                inst = random_control_instance(rng, rule, ctype, m_max=5, n_max=6)
+                assert_oracle_matches_rebuilt(inst, ctl._solution_stream(inst), algo="bruteforce")
+
+    def test_every_ccdc_sav_deletion_of_three_pool_candidates(self):
+        inst = red.generate("CcdcSavRx3c", COVERED_RX3C)
+        assert inst.budget_delete == 3
+        approved = frozenset().union(*inst.registered_votes)
+        pool = [c for c in inst.registered_candidates if c in approved and c not in inst.distinguished]
+        solutions = list(ctl._solution_stream(inst, pool))
+        assert len(solutions) == sum(comb(len(pool), r) for r in range(4))
+        answers = assert_oracle_matches_rebuilt(inst, solutions)
+        # the YES deletions are the set candidates of the source's three exact covers
+        covers = [{f"c(H{i})" for i in range(j, j + 3)} for j in (0, 3, 6)]
+        assert [set(s.deleted_candidates) for s, yes in zip(solutions, answers) if yes] == covers
+
+    @pytest.mark.parametrize("kind", ["CcavNsavRx3c", "CcdvNsavRx3c"])
+    @pytest.mark.parametrize("kappa", [1, 2])
+    def test_every_padded_nsav_voter_action(self, kind, kappa):
+        inst = red.generate(kind, red.random_rx3c(kappa, random.Random(kappa)))
+        answers = assert_oracle_matches_rebuilt(inst, ctl._solution_stream(inst))
+        assert True in answers and False in answers
+
+    @pytest.mark.parametrize("rule", [AV, SAV, NSAV])
+    def test_memoised_voter_verdicts_match_a_fresh_oracle(self, rule):
+        rng = random.Random(f"memo:{rule}")
+        patterns = [frozenset(), frozenset({"c0"}), frozenset({"c0", "c1"}), frozenset({"c1", "c2", "c3"})]
+        for _ in range(12):
+            inst = ControlInstance(
+                "CCADV", rule, ["c0", "c1", "c2", "c3"], rng.choices(patterns, k=6), rng.randint(1, 2),
+                {"c0"}, unregistered_votes=rng.choices(patterns, k=5), budget_add=2, budget_delete=2,
+            )
+            memo = ctl._AdditiveControlOracle(inst)
+            solutions = list(ctl._solution_stream(inst))
+            for solution in solutions:
+                assert memo.jcc_after(solution) == ctl._AdditiveControlOracle(inst).jcc_after(solution), solution
+            assert len(memo.verdicts) < len(solutions)
+        inst = red.generate("CcavSavRx3c", red.random_rx3c(2, random.Random(5)))
+        memo = ctl._AdditiveControlOracle(inst)
         for solution in ctl._solution_stream(inst):
-            jcc = winners.JccInstance(apply_control(inst, solution), inst.k, inst.distinguished)
-            assert oracle.jcc_after(solution) == winners.j_cc(inst.rule, jcc, algo="bruteforce"), solution
+            assert memo.jcc_after(solution) == ctl._AdditiveControlOracle(inst).jcc_after(solution), solution
 
     @pytest.mark.parametrize(
         "sets,answer",

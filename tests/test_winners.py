@@ -64,6 +64,14 @@ class TestWinningCommittees:
         for rule in (AV, SAV, NSAV, PAV, ABCCV, MAV):
             assert winning_committees(rule, e, 2).committees == (("a", "b"),)
 
+    def test_membership_ignores_member_order(self):
+        ws = winning_committees(AV, Election(["a", "b", "c", "d"], [{"a", "b"}, {"a", "b"}, {"c"}]), 2)
+        assert ws.committees == (("a", "b"),)
+        for members in (("a", "b"), ("b", "a"), ["b", "a"], frozenset({"a", "b"}), {"b", "a"}):
+            assert members in ws
+        for members in (("a",), ("a", "c"), ("a", "b", "c"), frozenset({"b", "c"})):
+            assert members not in ws
+
     def test_example3_pav_restricted(self):
         e = Election(["a", "b", "c", "d"], [{"a"}, {"a"}] + [{"b", "d"}] * 3 + [{"c", "d"}] * 3)
         ws = winning_committees(PAV, core.restrict(e, {"a", "b", "c"}), 2)
