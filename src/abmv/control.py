@@ -718,7 +718,9 @@ def auto_algorithm(instance: ControlInstance) -> str:
     domain covers the instance, else brute force. Both Thiele voter-control
     solvers score every k-committee per step, so `thiele-fpt` runs only when
     `thiele_fpt_refusal` accepts and its anchors number at most the actions
-    brute force would walk."""
+    brute force would walk. Candidate control goes to brute force too:
+    color coding's exhaustive hash family walks κ^|pool| colourings, past
+    the cap on instances brute force answers at once."""
     rule = instance.rule
     if instance.ctype in VOTER_TYPES:
         if rule.kind == "MAV":
@@ -729,6 +731,4 @@ def auto_algorithm(instance: ControlInstance) -> str:
             anchors = _thiele_anchors(instance)
             if len(list(islice(_solution_stream(instance), anchors))) == anchors:
                 return "thiele-fpt"
-    if instance.ctype in CANDIDATE_TYPES:
-        return "color-coding"
     return "bruteforce"

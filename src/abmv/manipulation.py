@@ -85,10 +85,7 @@ class ManipulationInstance:
 
     @property
     def approved_union(self) -> frozenset:
-        out = frozenset()
-        for v in self.manipulative_votes:
-            out |= v
-        return out
+        return frozenset().union(*self.manipulative_votes)
 
 
 def _is_winning(rule, election, k, committee) -> bool:
@@ -226,49 +223,44 @@ def _sd_dominates_distribution(new_total, new_cum, old_total, old_cum, k) -> boo
 class _ProfileChecker:
     """Evaluates acceptance of candidate ballot profiles for one instance.
 
-    Additive rules score in `core.size_weights` integers; the scale grows
-    when a profile casts a ballot size not seen before. The candidates a
-    truthful manipulator ballot or a cast ballot touches get bit
-    positions as they are met, and `base` holds their honest scores; no
-    profile moves the others, so they are one ascending list. `decide` is
-    the one additive acceptance: profiles reach it through
+    Under an additive rule the instance is scored once, here. The
+    touchable candidates are the truthful union plus `cast`, the
+    candidates the caller's search may put on a ballot; each gets a bit
+    position. One `core.size_weights` scale covers the honest ballot
+    sizes and every size a ballot of touchable candidates can have, so
+    `weight` prices any cast ballot. `scores` holds every candidate's
+    honest integer score and `base` the touchable ones' in bit order; no
+    profile moves the others, so `untouched` holds theirs ascending.
+
+    `decide` is the one additive acceptance: profiles reach it through
     `accepts_scores`, as do split-mode brute force's AV count vectors,
-    and the FPT search's guessed partitions call it directly. Other rules
-    go through `_general_accepts`, which reads the optimal count vectors
-    over the manipulated election's approval classes. For SDCM the
-    truthful winning distribution is computed once up front the same way.
+    and the FPT searches' guessed partitions call it directly. Other
+    rules go through `_general_accepts`, which reads the optimal count
+    vectors over the manipulated election's approval classes. For SDCM
+    the truthful winning distribution is computed once up front the same
+    way.
     """
 
-    def __init__(self, instance: ManipulationInstance, cap=None):
+    def __init__(self, instance: ManipulationInstance, cap=None, cast=frozenset()):
         self.instance = instance
         self.cap = cap
         self.rule = instance.rule
-        self.election = instance.base_election
         if self.rule.is_additive:
+            touchable = instance.approved_union | cast
+            self.bit = {c: b for b, c in enumerate(filter(touchable.__contains__, instance.candidates))}
+            sizes = [len(v) for v in instance.honest_votes] + list(range(1, len(touchable) + 1))
+            # an empty ballot approves nobody
+            self.weight = {0: 0, **core.size_weights(self.rule, len(instance.candidates), sizes)[1]}
+            self.scores = core.integer_scores(instance.base_election, self.weight)
+            self.base = [self.scores[c] for c in self.bit]
+            self.untouched = sorted(score for c, score in self.scores.items() if c not in self.bit)
+            self._untouched_top = self.untouched[-instance.k :]
             w = instance.current_committee or frozenset()
-            self._sizes = {len(v) for v in instance.honest_votes}
-            self.bit = {}
-            self.touch(instance.approved_union)
             self._voters = [(self.mask(v), self.mask(v & w), len(v & w)) for v in instance.manipulative_votes]
         if instance.variant == "SDCM":
             self.old_distribution = _distribution(
                 self.rule, instance.full_election, instance.k, instance.manipulative_votes, cap
             )
-
-    def touch(self, candidates):
-        """Give bit positions to the candidates that lack one, and rescore."""
-        for c in candidates:
-            self.bit.setdefault(c, len(self.bit))
-        self._rescale()
-
-    def _rescale(self):
-        m = len(self.instance.candidates)
-        # an empty ballot approves nobody
-        self.weight = {0: 0, **core.size_weights(self.rule, m, self._sizes)[1]}
-        base = core.integer_scores(self.election, self.weight)
-        self.base = [base[c] for c in self.bit]
-        self._rest = sorted(score for c, score in base.items() if c not in self.bit)
-        self._rest_top = self._rest[-self.instance.k :]
 
     def mask(self, candidates) -> int:
         return sum(1 << self.bit[c] for c in candidates if c in self.bit)
@@ -276,12 +268,7 @@ class _ProfileChecker:
     def _scores(self, profile) -> list:
         scores = list(self.base)
         for ballot in profile:
-            weight = self.weight.get(len(ballot), 1 if self.rule.kind == "AV" else None)
-            if weight is None or not self.bit.keys() >= ballot:
-                # a new candidate, or a new size outside AV (every AV size weighs 1): start over
-                self._sizes.update(len(b) for b in profile)
-                self.touch(frozenset().union(*profile))
-                return self._scores(profile)
+            weight = self.weight[len(ballot)]
             for c in ballot:
                 scores[self.bit[c]] += weight
         return scores
@@ -296,8 +283,8 @@ class _ProfileChecker:
         order) and everyone else their honest score."""
         k = self.instance.k
         # the k-th highest score lies among the touchable and the k best others
-        threshold = sorted([*self._rest_top, *scores])[-k]
-        rest = self._rest
+        threshold = sorted([*self._untouched_top, *scores])[-k]
+        rest = self.untouched
         below, not_above = bisect_left(rest, threshold), bisect_right(rest, threshold)
         swin = pwin = 0
         for b, score in enumerate(scores):
@@ -447,17 +434,16 @@ def _once_per_count_vector(checker, pools, t):
     """(decide, any_accepted): AV acceptance of profiles of the t cast
     ballots, decided once per approval-count vector.
 
-    The options' candidates get bits in the checker, the one with the
-    j-th highest bit gets the digit (t+1)^j, and a ballot the sum of its
-    members' digits; no count exceeds t, so the sum of a profile's codes
-    names its count vector exactly. When every pool is the power set of
-    the same u candidates, every one of the (t+1)^u vectors is some
-    profile's, so all are decided up front from the honest scores plus
-    the counts; other pools fill the table as the walk meets vectors.
+    The checker was built with the options' candidates cast, so each has
+    a bit; the one with the j-th highest bit gets the digit (t+1)^j, and
+    a ballot the sum of its members' digits; no count exceeds t, so the
+    sum of a profile's codes names its count vector exactly. When every
+    pool is the power set of the same u candidates, every one of the
+    (t+1)^u vectors is some profile's, so all are decided up front from
+    the honest scores plus the counts; other pools fill the table as the
+    walk meets vectors.
     """
     members = frozenset().union(*(ballot for options in pools for ballot in options))
-    if not checker.bit.keys() >= members:
-        checker.touch(members)
     ranked = sorted(members, key=checker.bit.__getitem__, reverse=True)
     digit = {c: (t + 1) ** j for j, c in enumerate(ranked)}
     code = {ballot: sum(map(digit.__getitem__, ballot)) for options in pools for ballot in options}
@@ -510,18 +496,12 @@ def solve_manipulation_bruteforce(
     """
     limit = effective_cap(cap if cap is not None else PROFILE_CAP)
     bases, extras = _ballot_options(instance, pool, pool_override)
-    checker = _ProfileChecker(instance, cap)
+    # the last base is the whole pool
+    cast = bases[-1].union(*(extra for options in extras for extra in options))
+    checker = _ProfileChecker(instance, cap, cast)
     if profile_mode == "split":
-        pools = []
-        for i in range(instance.t):
-            seen, options = set(), []
-            for b in bases:
-                for e in extras[i]:
-                    ballot = b | e
-                    if ballot not in seen:
-                        seen.add(ballot)
-                        options.append(ballot)
-            pools.append(options)
+        # each manipulator's distinct ballots, in the order first met
+        pools = [list(dict.fromkeys(b | e for b in bases for e in extras[i])) for i in range(instance.t)]
         shared = all(options == pools[0] for options in pools)
         # the cap counts the profiles the walk visits
         total = math.comb(len(pools[0]) + instance.t - 1, instance.t) if shared else math.prod(map(len, pools))
@@ -565,12 +545,8 @@ def solve_manipulation_bruteforce(
 
 def _manipulator_classes(instance: ManipulationInstance):
     """Candidates grouped by the exact set of manipulators approving them."""
-    groups = {}
-    union = instance.approved_union
-    for c in filter(union.__contains__, instance.candidates):
-        key = frozenset(i for i, v in enumerate(instance.manipulative_votes) if c in v)
-        groups.setdefault(key, []).append(c)
-    return groups
+    classes = Election(instance.candidates, instance.manipulative_votes).approval_classes
+    return {key: members for key, members in classes.items() if key}
 
 
 def _block_selections(ordered: Sequence[str]):
@@ -600,8 +576,7 @@ def solve_av_const_manipulators(instance: ManipulationInstance, cap: Optional[in
         raise UnsupportedRuleError("this solver handles AV only")
     if instance.variant not in ("CBCM", "SBCM"):
         raise UnsupportedRuleError("this solver handles CBCM and SBCM")
-    base_scores = core.additive_scores(core.AV, instance.base_election)
-    election = instance.full_election
+    checker = _ProfileChecker(instance, cap)
     groups = _manipulator_classes(instance)
     w = instance.current_committee
     forced = frozenset()
@@ -610,16 +585,13 @@ def solve_av_const_manipulators(instance: ManipulationInstance, cap: Optional[in
     ordered_groups = []
     for key in sorted(groups, key=sorted):
         members = [c for c in groups[key] if not (instance.variant == "SBCM" and c in w)]
-        members.sort(key=lambda c: (-base_scores[c], election.index(c)))
+        # groups list members in roster order, which the stable sort keeps among ties
+        members.sort(key=lambda c: -checker.scores[c])
         if members:
             ordered_groups.append(members)
-    checker = _ProfileChecker(instance, cap)
     limit = effective_cap(cap if cap is not None else GUESS_CAP)
     selections = [list(_block_selections(g)) for g in ordered_groups]
-    total = 1
-    for sel in selections:
-        total *= len(sel)
-    if total > limit:
+    if math.prod(map(len, selections)) > limit:
         raise ResourceCapError("block guess space exceeds the cap")
     for choice in product(*selections):
         ballot = frozenset(forced)
@@ -643,8 +615,7 @@ def solve_manipulation_fpt_m_av(instance: ManipulationInstance, cap: Optional[in
     m = len(instance.candidates)
     if m > 22:
         raise ResourceCapError(f"m={m} exceeds the 2^m enumeration bound")
-    checker = _ProfileChecker(instance, cap)
-    checker.touch(instance.candidates)
+    checker = _ProfileChecker(instance, cap, frozenset(instance.candidates))
     for r in range(0, instance.k + 1):
         for combo in combinations(instance.candidates, r):
             profile = (frozenset(combo),) * instance.t
@@ -681,20 +652,17 @@ def _score_partitions(candidates, k):
                     yield frozenset(sure), frozenset(tied)
 
 
-def _reassignment_program(instance, swin, pwin):
+def _reassignment_program(checker, swin, pwin):
     """Variables count manipulators moving from each truthful ballot to each
     new ballot; constraints pin the guessed winning collection exactly."""
-    truthful = {}
-    for v in instance.manipulative_votes:
-        truthful[v] = truthful.get(v, 0) + 1
+    instance = checker.instance
+    truthful = Counter(instance.manipulative_votes)
     # recast ballots stay inside the truthfully approved pool; feasible
     # solutions outside it can always be normalized into it
     targets = _sorted_ballots(instance.candidates, instance.approved_union)
-    # one scale covers every ballot; the NSAV penalty the weights leave out
-    # cancels, because every row compares two k-committees
-    sizes = [len(v) for v in instance.honest_votes + tuple(targets)]
-    _, weight = core.size_weights(instance.rule, len(instance.candidates), sizes)
-    base = core.integer_scores(instance.base_election, weight)
+    # the checker's scale covers every such ballot; the NSAV penalty the
+    # weights leave out cancels, because every row compares two k-committees
+    weight, base = checker.weight, checker.scores
     program = ipcore.IntegerProgram()
     names = {}
     for s_i, (src, count) in enumerate(sorted(truthful.items(), key=lambda kv: sorted(kv[0]))):
@@ -748,13 +716,22 @@ def _decode_reassignment(instance, names, assignment):
     return tuple(profile)
 
 
-def _realize_partition(instance, wanted, cap) -> Verdict:
+def _realize_partition(instance, cap) -> Verdict:
     """First profile that realizes, exactly, a score partition whose
-    winning collection `wanted(swin, pwin)` accepts."""
+    winning collection the manipulators accept.
+
+    Every partition is decided by `_ProfileChecker.decide`; the checker
+    is built without `cap`, which bounds only the programs' nodes.
+    """
+    m = len(instance.candidates)
+    if m > 8:
+        raise ResourceCapError(f"m={m} exceeds the collection-enumeration bound")
+    checker = _ProfileChecker(instance)
+    mask = checker.mask
     for swin, pwin in _score_partitions(instance.candidates, instance.k):
-        if not wanted(swin, pwin):
+        if not checker.decide(mask(swin), len(swin), mask(pwin), len(pwin)):
             continue
-        program, names = _reassignment_program(instance, swin, pwin)
+        program, names = _reassignment_program(checker, swin, pwin)
         result = ipcore.solve_ip(program, cap)
         if result.feasible:
             return Verdict(True, _decode_reassignment(instance, names, result.assignment))
@@ -773,12 +750,7 @@ def solve_manipulation_fpt_m_additive(instance: ManipulationInstance, cap: Optio
         raise UnsupportedRuleError("additive rules only")
     if instance.variant not in ("CBCM", "SBCM"):
         raise UnsupportedRuleError("this solver handles CBCM and SBCM")
-    m = len(instance.candidates)
-    if m > 8:
-        raise ResourceCapError(f"m={m} exceeds the collection-enumeration bound")
-    checker = _ProfileChecker(instance, cap)
-    mask = checker.mask
-    return _realize_partition(instance, lambda s, p: checker.decide(mask(s), len(s), mask(p), len(p)), cap)
+    return _realize_partition(instance, cap)
 
 
 def solve_sdcm_fpt_m(instance: ManipulationInstance, cap: Optional[int] = None) -> Verdict:
@@ -789,19 +761,7 @@ def solve_sdcm_fpt_m(instance: ManipulationInstance, cap: Optional[int] = None) 
         raise UnsupportedRuleError("this solver handles SDCM")
     if not instance.rule.is_additive:
         raise UnsupportedRuleError("additive rules only")
-    m = len(instance.candidates)
-    if m > 8:
-        raise ResourceCapError(f"m={m} exceeds the collection-enumeration bound")
-    old = winners.winning_committees(instance.rule, instance.full_election, instance.k)
-
-    def dominates(swin, pwin):
-        family = [tuple(sorted(w)) for w in core.admitted_committees(swin, pwin, instance.k)]
-        return all(
-            sd_dominates(family, old.committees, v).dominates
-            for v in instance.manipulative_votes
-        )
-
-    return _realize_partition(instance, dominates, cap)
+    return _realize_partition(instance, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -932,16 +892,15 @@ def solve_savnsav_const_manipulators(
         return NO
     m = len(instance.candidates)
     # one scale for every guess: final ballots stay inside the truthful pool
-    sizes = [len(v) for v in instance.honest_votes]
-    _, weight = core.size_weights(rule, m, sizes + list(range(1, len(instance.approved_union) + 1)))
-    base = core.integer_scores(instance.base_election, weight)
+    checker = _ProfileChecker(instance, cap)
+    weight, base = checker.weight, checker.scores
     groups = _manipulator_classes(instance)
     group_keys = sorted(groups, key=sorted)
     group_members = [groups[key] for key in group_keys]
     group_sizes = [len(ms) for ms in group_members]
     # outside candidates gain nothing, so one sorted list answers every
     # threshold guess by bisection
-    outside_base = sorted(base[c] for c in instance.candidates if c not in instance.approved_union)
+    outside_base = checker.untouched
     outside_top = outside_base[::-1][: k + 1]
     base_values = sorted(set(base.values()))
     ranked = sorted(base.values(), reverse=True)
@@ -954,9 +913,7 @@ def solve_savnsav_const_manipulators(
     }
     old_overlap = [len(v & w) for v in instance.manipulative_votes]
 
-    total_guesses = 1
-    for size in group_sizes:
-        total_guesses *= (size + 1) ** t
+    total_guesses = math.prod((size + 1) ** t for size in group_sizes)
     if total_guesses > limit:
         raise ResourceCapError(f"{total_guesses} approval-count guesses exceed the cap {limit}")
 

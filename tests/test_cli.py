@@ -437,3 +437,24 @@ def test_auto_control_picks_thiele_fpt_only_when_it_accepts(
     # the library makes the same choice
     chosen, verdict = abmv.solve(serialize.load_control_instance(instance, PAV))
     assert chosen == algorithm and serialize.verdict_to_obj(verdict)["witness"] == out["witness"]
+
+
+# the set candidates of an exact cover of nine elements by three triples
+RX3C_COVER = {"universe": [f"a{i}" for i in range(9)],
+              "sets": [["a0", "a1", "a2"], ["a3", "a4", "a5"], ["a6", "a7", "a8"],
+                       ["a0", "a3", "a6"], ["a1", "a4", "a7"], ["a2", "a5", "a8"],
+                       ["a0", "a4", "a8"], ["a1", "a5", "a6"], ["a2", "a3", "a7"]]}
+
+
+def test_auto_candidate_control_runs_brute_force(tmp_path):
+    """At kappa = 3 color coding's hash family passes its cap on the CCDC
+    cover instance, so `auto` sends candidate control to brute force,
+    which deletes the cover's set candidates."""
+    (tmp_path / "rx3c.json").write_text(json.dumps(RX3C_COVER))
+    proc = run_cli(["gen", "--kind", "CcdcSavRx3c", "rx3c.json", "-o", "ccdc.json"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    proc = run_cli(["solve-control", "--rule", "sav", "--json", "ccdc.json"], tmp_path)
+    assert proc.returncode == cli.EXIT_YES, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["algorithm"] == "bruteforce" and out["answer"] == "YES"
+    assert out["witness"]["deleted_candidates"] == ["c(H0)", "c(H1)", "c(H2)"]

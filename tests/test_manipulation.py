@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from functools import partial
 from itertools import combinations, combinations_with_replacement, product
 
 import pytest
@@ -379,11 +380,16 @@ def option_pools(inst, pool):
     return [list(dict.fromkeys(b | e for b in bases for e in extras[i])) for i in range(inst.t)]
 
 
+def cast_by(profiles):
+    """The candidates the ballots of `profiles` approve."""
+    return frozenset().union(*(ballot for profile in profiles for ballot in profile))
+
+
 def reference_bruteforce(inst, pool):
     """Every ordered profile in `product` order, decided by the class-count
     evaluator; the search's own decision must agree on each one."""
     pools = option_pools(inst, pool)
-    checker = man._ProfileChecker(inst)
+    checker = man._ProfileChecker(inst, cast=cast_by(pools))
     for profile in product(*pools):
         accepted = checker._general_accepts(profile)
         assert checker.accepts(profile) == accepted, profile
@@ -474,7 +480,7 @@ def fresh_checker_bruteforce(inst, pool):
     else:
         profiles = product(*pools)
     for profile in profiles:
-        if man._ProfileChecker(inst).accepts(profile) and certify_manipulation(inst, profile):
+        if man._ProfileChecker(inst, cast=cast_by([profile])).accepts(profile) and certify_manipulation(inst, profile):
             return Verdict(True, profile), pools
     return man.NO, pools
 
@@ -535,7 +541,7 @@ def test_av_count_vectors_keep_fresh_checker_verdicts(inst, pool):
         verdict = solve_manipulation_bruteforce(inst, pool=pool)
     expected, pools = fresh_checker_bruteforce(inst, pool)
     assert (verdict.yes, verdict.witness) == (expected.yes, expected.witness)
-    u = len(frozenset().union(*(b for options in pools for b in options)))
+    u = len(cast_by(pools))
     assert len(decisions) <= (inst.t + 1) ** u
 
 
@@ -593,7 +599,8 @@ def reference_accepts_split(inst, swin, pwin):
 @st.composite
 def padded_additive_profiles(draw):
     """An AV, SAV or NSAV instance on a roster padded with up to 2,000
-    dummies, and several profiles to decide with one checker.
+    dummies, and several profiles, of several ballot sizes, to decide
+    with one checker built with their candidates cast.
 
     Half the draws plant a tie like `av_tie`'s: under AV the k targets
     and the honest voters' k favourites all score t, each manipulator
@@ -642,44 +649,80 @@ def padded_additive_profiles(draw):
 @settings(max_examples=150, deadline=None)
 @given(padded_additive_profiles())
 def test_additive_acceptance_matches_the_definition(case):
-    """The bitmask acceptance, one checker over several profiles so that
-    the scale and the touched candidates grow, against the definition on
+    """The bitmask acceptance, one checker over several profiles whose
+    sizes and candidates its one scale covers, against the definition on
     the whole score map; ties may straddle touched and untouched
     candidates, since dummies and unapproved candidates score alike."""
     inst, profiles = case
-    checker = man._ProfileChecker(inst)
+    checker = man._ProfileChecker(inst, cast=cast_by(profiles))
     for profile in profiles:
         assert checker.accepts(profile) == reference_accepts(inst, profile), profile
 
 
-@pytest.mark.parametrize("rule,size_rescales", [(AV, 0), (SAV, 1)], ids=["av", "sav"])
-def test_new_ballot_sizes_rescore_only_outside_av(rule, size_rescales, monkeypatch):
+@pytest.mark.parametrize("rule", [AV, SAV], ids=["av", "sav"])
+def test_new_ballot_sizes_and_candidates_need_no_rescore(rule, monkeypatch):
     """The honest ballots all have two members. Profiles of one and three
-    members rescore the roster once under SAV, whose scale grows, and never
-    under AV, where every size weighs 1; a new candidate rescores under
-    both. One checker decides as the definition and a fresh checker do."""
+    members, and one that casts a candidate no manipulator approves, are
+    priced by the scale the checker builds up front, so scoring happens
+    once. One checker decides as the definition and a fresh checker do."""
     cands = ["a", "b", "c", "d", "e"]
     honest = [{"a", "b"}, {"c", "d"}, {"d", "e"}, {"a", "e"}]
     manip = [{"a", "b", "c"}, {"b"}]
     ws = winners.winning_committees(rule, Election(cands, honest + manip), 2, "exhaustive")
     inst = ManipulationInstance(rule, "CBCM", cands, honest, manip, 2, frozenset(ws.committees[0]))
-    rescale, calls = man._ProfileChecker._rescale, []
-
-    def counted(checker):
-        calls.append(checker)
-        return rescale(checker)
-
-    monkeypatch.setattr(man._ProfileChecker, "_rescale", counted)
-    checker = man._ProfileChecker(inst)
     new_sizes = [({"a"}, {"a", "b", "c"}), ({"b", "c"}, {"c"}), (set(), {"a", "b", "c"}), ({"b"}, {"b"})]
     new_candidate = [({"a", "d"}, {"b"})]
-    for expected_calls, profiles in ((1 + size_rescales, new_sizes), (2 + size_rescales, new_candidate)):
-        for profile in profiles:
-            profile = tuple(map(frozenset, profile))
-            verdict = checker.accepts(profile)
-            assert verdict == reference_accepts(inst, profile), profile
-            assert verdict == man._ProfileChecker(inst).accepts(profile), profile
-        assert calls.count(checker) == expected_calls
+    profiles = [tuple(map(frozenset, profile)) for profile in new_sizes + new_candidate]
+    scorings = count_integer_scores(monkeypatch)
+    checker = man._ProfileChecker(inst, cast=cast_by(profiles))
+    verdicts = [checker.accepts(profile) for profile in profiles]
+    assert len(scorings) == 1
+    for profile, verdict in zip(profiles, verdicts):
+        assert verdict == reference_accepts(inst, profile), profile
+        assert verdict == man._ProfileChecker(inst, cast=cast_by([profile])).accepts(profile), profile
+
+
+def test_additive_solvers_score_each_instance_once(monkeypatch):
+    """Every additive manipulation solver scores its instance with at most
+    one `core.integer_scores` call, however many ballot sizes, candidates,
+    count vectors or partitions it meets."""
+    scorings = count_integer_scores(monkeypatch)
+    scored = 0
+    for i in range(300):
+        rng = random.Random(f"one-scoring:{i}")
+        rule = rng.choice([AV, SAV, NSAV])
+        variant = rng.choice(man.VARIANTS)
+        inst = ver.random_manipulation_instance(rng, rule, variant, 4, 4, 3)
+        solvers = [
+            partial(solve_manipulation_bruteforce, profile_mode="split"),
+            partial(solve_manipulation_bruteforce, profile_mode="split", pool="unrestricted"),
+            partial(solve_manipulation_bruteforce, profile_mode="common"),
+        ]
+        if variant == "SDCM":
+            solvers.append(solve_sdcm_fpt_m)
+        elif rule == AV:
+            solvers += [solve_av_const_manipulators, solve_manipulation_fpt_m_av, solve_manipulation_fpt_m_additive]
+        else:
+            solvers += [solve_savnsav_const_manipulators, solve_manipulation_fpt_m_additive]
+        for solver in solvers:
+            scorings.clear()
+            solver(inst)
+            assert len(scorings) <= 1, (i, solver)
+            scored += len(scorings)
+    assert scored
+
+
+def count_integer_scores(monkeypatch):
+    """A list that collects every `core.integer_scores` call."""
+    calls = []
+    integer_scores = core.integer_scores
+
+    def counted(*args):
+        calls.append(args)
+        return integer_scores(*args)
+
+    monkeypatch.setattr(core, "integer_scores", counted)
+    return calls
 
 
 @settings(max_examples=100, deadline=None)
