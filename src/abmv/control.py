@@ -75,7 +75,7 @@ class ControlInstance:
             raise ValidationError("need 1 <= |J| <= k <= |C|")
         if not self.distinguished <= registered:
             raise ValidationError("distinguished candidates must be registered")
-        pool = registered.union(D)
+        pool = registered.union(D) if D else registered
         for i, v in enumerate(self.registered_votes + self.unregistered_votes):
             if not v <= pool:
                 raise ValidationError(f"vote {i} leaves the candidate pool")
@@ -156,8 +156,9 @@ def apply_control(instance: ControlInstance, solution: ControlSolution) -> Elect
     roster = [c for c in instance.registered_candidates if c not in removed] + added_order
     if len(roster) < instance.k:
         raise ValidationError("fewer than k candidates would remain")
-    keep = set(roster)
-    return Election(tuple(roster), [v & keep for v in instance.registered_votes])
+    # ballots lose the deleted candidates and the unregistered ones not added
+    dropped = removed.union(instance.unregistered_candidates).difference(added)
+    return Election(tuple(roster), [v - dropped for v in instance.registered_votes])
 
 
 def control_succeeds(instance: ControlInstance, solution: ControlSolution) -> bool:

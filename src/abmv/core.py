@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, filterfalse, islice
 from typing import Collection, Iterable, Optional, Sequence
 
@@ -299,11 +299,17 @@ def omega_table(rule: Rule, top: int) -> tuple:
 
     No overlap exceeds min(k, largest vote size), so that is the `top` a
     caller needs; a THIELE table too short for it raises
-    `ConfigurationError`.
+    `ConfigurationError`. Each call gets its own list of a memoised table.
     """
+    scale, ints = _omega_ints(rule, top)
+    return scale, list(ints)
+
+
+@lru_cache(maxsize=256)
+def _omega_ints(rule: Rule, top: int) -> tuple:
     values = [rule.omega_value(i) for i in range(top + 1)]
     scale = math.lcm(*(w.denominator for w in values))
-    return scale, [int(w * scale) for w in values]
+    return scale, tuple(int(w * scale) for w in values)
 
 
 def nsav_penalty(rule: Rule, m: int, scale: int, sizes: Iterable[int]) -> int:

@@ -235,10 +235,10 @@ class _ProfileChecker:
     `decide` is the one additive acceptance: profiles reach it through
     `accepts_scores`, as do split-mode brute force's AV count vectors,
     and the FPT searches' guessed partitions call it directly. Other
-    rules go through `_general_accepts`, which reads the optimal count
-    vectors over the manipulated election's approval classes. For SDCM
-    the truthful winning distribution is computed once up front the same
-    way.
+    rules go through `_general_accepts` (`_class_accepts`), which reads
+    the optimal count vectors over the manipulated election's approval
+    classes. For SDCM the truthful winning distribution is computed once
+    up front the same way.
     """
 
     def __init__(self, instance: ManipulationInstance, cap=None, cast=frozenset()):
@@ -257,10 +257,9 @@ class _ProfileChecker:
             self._untouched_top = self.untouched[-instance.k :]
             w = instance.current_committee or frozenset()
             self._voters = [(self.mask(v), self.mask(v & w), len(v & w)) for v in instance.manipulative_votes]
+        self.old_distribution = None
         if instance.variant == "SDCM":
-            self.old_distribution = _distribution(
-                self.rule, instance.full_election, instance.k, instance.manipulative_votes, cap
-            )
+            self.old_distribution = _truthful_distribution(instance, cap)
 
     def mask(self, candidates) -> int:
         return sum(1 << self.bit[c] for c in candidates if c in self.bit)
@@ -325,31 +324,42 @@ class _ProfileChecker:
         return True
 
     def _general_accepts(self, profile) -> bool:
-        inst = self.instance
-        election = inst.election_with(profile)
-        if inst.variant == "SDCM":
-            total, levels = _distribution(self.rule, election, inst.k, inst.manipulative_votes, self.cap)
-            old_total, old_levels = self.old_distribution
-            return all(
-                _sd_dominates_distribution(total, new, old_total, old, inst.k)
-                for new, old in zip(levels, old_levels)
-            )
-        _, vectors = winners.optimal_count_vectors(self.rule, election, inst.k, self.cap)
-        sizes = [len(members) for members in election.approval_classes.values()]
-        w, votes = inst.current_committee, inst.manipulative_votes
-        kept = [v & w for v in votes] if inst.variant == "SBCM" else []
-        overlaps = _class_overlaps(election, [*votes, *kept])
-        for i, v in enumerate(votes):
-            inside, old = overlaps[i], len(v & w)
-            for vec in vectors:
-                # the fewest members of v a committee with this vector holds
-                if sum(max(0, vec[g] - sizes[g] + a) for g, a in inside.items()) <= old:
-                    return False
-                # SBCM: every such committee holds v ∩ w iff it takes all of
-                # each class that meets v ∩ w
-                if kept and any(vec[g] != sizes[g] for g in overlaps[inst.t + i]):
-                    return False
-        return True
+        return _class_accepts(self.instance, profile, self.cap, self.old_distribution)
+
+
+def _truthful_distribution(instance: ManipulationInstance, cap=None) -> tuple:
+    """`_distribution` of the truthful winners over the manipulators' ballots."""
+    return _distribution(instance.rule, instance.full_election, instance.k, instance.manipulative_votes, cap)
+
+
+def _class_accepts(instance: ManipulationInstance, profile, cap=None, old_distribution=None) -> bool:
+    """Acceptance read from the optimal count vectors over the manipulated
+    election's approval classes, for any rule. SDCM compares with the
+    truthful winners' `old_distribution`, computed here when not given."""
+    election = instance.election_with(profile)
+    if instance.variant == "SDCM":
+        old_total, old_levels = old_distribution or _truthful_distribution(instance, cap)
+        total, levels = _distribution(instance.rule, election, instance.k, instance.manipulative_votes, cap)
+        return all(
+            _sd_dominates_distribution(total, new, old_total, old, instance.k)
+            for new, old in zip(levels, old_levels)
+        )
+    _, vectors = winners.optimal_count_vectors(instance.rule, election, instance.k, cap)
+    sizes = [len(members) for members in election.approval_classes.values()]
+    w, votes = instance.current_committee, instance.manipulative_votes
+    kept = [v & w for v in votes] if instance.variant == "SBCM" else []
+    overlaps = _class_overlaps(election, [*votes, *kept])
+    for i, v in enumerate(votes):
+        inside, old = overlaps[i], len(v & w)
+        for vec in vectors:
+            # the fewest members of v a committee with this vector holds
+            if sum(max(0, vec[g] - sizes[g] + a) for g, a in inside.items()) <= old:
+                return False
+            # SBCM: every such committee holds v ∩ w iff it takes all of
+            # each class that meets v ∩ w
+            if kept and any(vec[g] != sizes[g] for g in overlaps[instance.t + i]):
+                return False
+    return True
 
 
 def certify_manipulation(instance: ManipulationInstance, profile: Sequence[frozenset]) -> bool:
@@ -357,10 +367,11 @@ def certify_manipulation(instance: ManipulationInstance, profile: Sequence[froze
 
     Runs the plain definition (enumerate winning committees, test every
     manipulator) whenever the committee space is enumerable; otherwise
-    falls back to `_general_accepts`, the closed forms over the optimal
+    falls back to `_class_accepts`, the closed forms over the optimal
     count vectors of the manipulated election's approval classes, never
-    to the threshold partition the searches decide additive profiles
-    with, so their witnesses are still checked independently.
+    to the threshold partition (or the additive scores) the searches
+    decide additive profiles with, so their witnesses are still checked
+    independently.
     """
     if len(profile) != instance.t:
         return False
@@ -384,7 +395,7 @@ def certify_manipulation(instance: ManipulationInstance, profile: Sequence[froze
             for v in instance.manipulative_votes
             for wc in new.committees
         )
-    return _ProfileChecker(instance)._general_accepts(tuple(frozenset(b) for b in profile))
+    return _class_accepts(instance, tuple(frozenset(b) for b in profile))
 
 
 # ---------------------------------------------------------------------------
@@ -399,25 +410,25 @@ def _sorted_ballots(candidates: Sequence[str], pool: frozenset) -> list:
     return [frozenset(combo) for r in range(len(ordered) + 1) for combo in combinations(ordered, r)]
 
 
-def _ballot_options(instance: ManipulationInstance, pool_kind: str, pool_override):
-    """Per-manipulator candidate ballot lists (base pool plus private blocks)."""
+def _base_pool(instance: ManipulationInstance, pool_kind: str, pool_override) -> frozenset:
+    """The candidates every manipulator's base ballot is drawn from."""
     if pool_override is not None:
-        base_pool = frozenset(pool_override)
-    elif pool_kind == "unrestricted":
-        base_pool = frozenset(instance.candidates)
-    elif pool_kind == "with_committee":
-        base_pool = instance.approved_union | (instance.current_committee or frozenset())
-    elif pool_kind == "auto":
+        return frozenset(pool_override)
+    if pool_kind == "unrestricted":
+        return frozenset(instance.candidates)
+    if pool_kind == "with_committee":
+        return instance.approved_union | (instance.current_committee or frozenset())
+    if pool_kind == "auto":
         # additive rules: recasting outside the truthful pool never helps;
         # for the other rules no such normalization is sound (padding a
         # ballot with unapproved candidates can reshape MAV distances),
         # so the full roster is searched
-        if instance.rule.is_additive:
-            base_pool = instance.approved_union
-        else:
-            base_pool = frozenset(instance.candidates)
-    else:
-        raise ValueError(f"unknown pool {pool_kind!r}")
+        return instance.approved_union if instance.rule.is_additive else frozenset(instance.candidates)
+    raise ValueError(f"unknown pool {pool_kind!r}")
+
+
+def _ballot_options(instance: ManipulationInstance, base_pool: frozenset):
+    """Per-manipulator candidate ballot lists (base pool plus private blocks)."""
     bases = _sorted_ballots(instance.candidates, base_pool)
     per_manipulator = []
     for i in range(instance.t):
@@ -428,6 +439,14 @@ def _ballot_options(instance: ManipulationInstance, pool_kind: str, pool_overrid
                 extras.append(frozenset().union(*combo))
         per_manipulator.append(extras)
     return bases, per_manipulator
+
+
+def _refuse_past(limit: int, total: int, exact: bool = True) -> None:
+    """Raise `ResourceCapError` when `total` (or at least `total`) profiles pass the cap."""
+    if total > limit:
+        # an int of more than about 4,300 digits does not print
+        count = total if total.bit_length() <= 4096 else f"over 2**{total.bit_length() - 1}"
+        raise ResourceCapError(f"{'' if exact else 'at least '}{count} ballot profiles exceed the cap {limit}")
 
 
 def _once_per_count_vector(checker, pools, t):
@@ -494,8 +513,18 @@ def solve_manipulation_bruteforce(
     table as the walk meets vectors. SAV and NSAV weigh a ballot by its
     size, so those decide every profile.
     """
+    if profile_mode not in ("split", "common"):
+        raise ValueError(f"unknown profile mode {profile_mode!r}")
     limit = effective_cap(cap if cap is not None else PROFILE_CAP)
-    bases, extras = _ballot_options(instance, pool, pool_override)
+    base_pool, t = _base_pool(instance, pool, pool_override), instance.t
+    # refuse before listing the 2^|pool| base ballots: in common mode the
+    # profiles are exactly those times each manipulator's 2^|blocks|
+    # extras, and in split mode every manipulator has at least the bases
+    if profile_mode == "common":
+        _refuse_past(limit, 2 ** (len(base_pool) + sum(map(len, instance.ballot_blocks))))
+    else:
+        _refuse_past(limit, math.comb(2 ** len(base_pool) + t - 1, t), exact=not instance.ballot_blocks)
+    bases, extras = _ballot_options(instance, base_pool)
     # the last base is the whole pool
     cast = bases[-1].union(*(extra for options in extras for extra in options))
     checker = _ProfileChecker(instance, cap, cast)
@@ -504,9 +533,7 @@ def solve_manipulation_bruteforce(
         pools = [list(dict.fromkeys(b | e for b in bases for e in extras[i])) for i in range(instance.t)]
         shared = all(options == pools[0] for options in pools)
         # the cap counts the profiles the walk visits
-        total = math.comb(len(pools[0]) + instance.t - 1, instance.t) if shared else math.prod(map(len, pools))
-        if total > limit:
-            raise ResourceCapError(f"{total} ballot profiles exceed the cap {limit}")
+        _refuse_past(limit, math.comb(len(pools[0]) + t - 1, t) if shared else math.prod(map(len, pools)))
         if shared:
             # acceptance and certification see only the multiset of cast
             # ballots, so the first hit in product order is nondecreasing
@@ -524,11 +551,6 @@ def solve_manipulation_bruteforce(
                 if certify_manipulation(instance, profile):
                     return Verdict(True, tuple(profile))
         return NO
-    if profile_mode != "common":
-        raise ValueError(f"unknown profile mode {profile_mode!r}")
-    total = len(bases) * math.prod(map(len, extras))
-    if total > limit:
-        raise ResourceCapError(f"{total} ballot profiles exceed the cap {limit}")
     for base in bases:
         for chosen in product(*extras):
             profile = tuple(base | chosen[i] for i in range(instance.t))

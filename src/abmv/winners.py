@@ -3,14 +3,19 @@
 `winning_committees` is the ground truth the strategic solvers are checked
 against: exhaustive search over all k-committees, with an additive shortcut
 through the threshold partition that must agree with it. Exhaustive search
-scores the Thiele family and MAV in integers from tables built once per
-election; `core.committee_score` is the `Fraction` specification they must
-match. `j_cc` decides whether a candidate set J is contained in every
-winning k-committee, either by brute force or from the optimal
-per-approval-class count vectors. The class-count enumeration has at most
-2^n classes for n votes, so it walks polynomially many vectors in the number
-of candidates for a fixed n; it is not the integer-program bound of the
-paper's fixed-parameter algorithm.
+scores the Thiele family and MAV in integers, a committee as one
+candidate-bit mask against one mask per vote; `core.committee_score` is
+the `Fraction` specification they must match. `j_cc` decides whether a
+candidate set J is contained in every winning k-committee, either by brute
+force or from the optimal per-approval-class count vectors. The
+class-count enumeration has at most 2^n classes for n votes, so it walks
+polynomially many vectors in the number of candidates for a fixed n; it is
+not the integer-program bound of the paper's fixed-parameter algorithm. It
+keeps every vote's overlap packed in one int that each count change
+updates, and fills the last class's seats in one step while counting the
+nodes it skips, so its visit count and cap refusals are those of the
+one-by-one walk. The two paths share only `core.omega_table`, so each
+checks the other.
 """
 
 from __future__ import annotations
@@ -79,7 +84,8 @@ def winning_committees(
     The partition strategy is legal only for additive rules and must
     return the same set as exhaustive search. Exhaustive search refuses
     to enumerate past its cap rather than truncate; outside the additive
-    rules it compares `core.committee_score` times one scale, as ints.
+    rules it compares `core.committee_score` times one scale, as ints
+    (`_scorer`).
     """
     if not 0 < k <= election.m:
         raise core.DomainError(f"k={k} out of range")
@@ -96,38 +102,54 @@ def winning_committees(
         raise ResourceCapError(
             f"{math.comb(election.m, k)} committees exceed the enumeration cap {limit}"
         )
-    scale, score = _scorer(rule, election, k)
+    scale, members, score = _scorer(rule, election, k)
     best = None
     winners = []
     minimizing = rule.orientation == "minimize"
-    for combo in combinations(election.candidates, k):
+    for combo in combinations(members, k):
         s = score(combo)
         if best is None or (s < best if minimizing else s > best):
             best = s
             winners = [combo]
         elif s == best:
             winners.append(combo)
-    return WinningSet(_sorted_committees(election.index, winners), Fraction(best, scale))
+    label = dict(zip(members, election.candidates))
+    committees = [tuple(map(label.__getitem__, w)) for w in winners]
+    return WinningSet(_sorted_committees(election.index, committees), Fraction(best, scale))
 
 
 def _scorer(rule: Rule, election: Election, k: int) -> tuple:
-    """(scale, score): `score(committee)` is a k-committee's exact score times
-    `scale`. Thiele scores are ints from the ω table `optimal_count_vectors` uses,
-    MAV's from |v Δ W| = |v| + k - 2|v ∩ W|; the additive rules keep the `Fraction`
-    `core.committee_score`, as their exhaustive search is the partition's oracle."""
+    """(scale, members, score): `score` maps a k-combination of `members`, which
+    stand for the candidates in roster order, to that committee's exact score
+    times `scale`.
+
+    The Thiele family and MAV score a committee as one candidate-bit mask
+    against one int mask per vote: Σ ω[|v ∩ W|] over `core.omega_table`, the
+    only piece shared with `optimal_count_vectors`, or MAV's largest
+    |v Δ W| = |v| + k - 2|v ∩ W|. The additive rules keep the `Fraction`
+    `core.committee_score`, as their exhaustive search is the partition's oracle.
+    """
     if rule.is_additive:
-        return 1, partial(committee_score, rule, election)
-    votes = election.votes
-    sizes = [len(v) for v in votes]
-    scale, omega = (1, None) if rule.kind == "MAV" else core.omega_table(rule, min(k, max(sizes, default=0)))
+        return 1, election.candidates, partial(committee_score, rule, election)
+    bits = [1 << i for i in range(election.m)]
+    bit = dict(zip(election.candidates, bits))
+    votes = [sum(map(bit.__getitem__, v)) for v in election.votes]
+    if rule.kind == "MAV":
+        reach = [(len(v) + k, mask) for v, mask in zip(election.votes, votes)]
 
-    def score(committee):
-        members = frozenset(committee)
-        if omega is None:  # with no votes every committee ties at 0
-            return max([size + k - 2 * len(v & members) for size, v in zip(sizes, votes)], default=0)
-        return sum([omega[len(v & members)] for v in votes])
+        def score(combo):
+            committee = sum(combo)
+            # with no votes every committee ties at 0
+            return max([far - 2 * (mask & committee).bit_count() for far, mask in reach], default=0)
 
-    return scale, score
+        return 1, bits, score
+    scale, omega = core.omega_table(rule, min(k, max(map(len, election.votes), default=0)))
+
+    def score(combo):
+        committee = sum(combo)
+        return sum([omega[(mask & committee).bit_count()] for mask in votes])
+
+    return scale, bits, score
 
 
 def _winning_by_partition(rule, election, k, cap):
@@ -194,6 +216,13 @@ def optimal_count_vectors(rule: Rule, election: Election, k: int, cap: Optional[
     explicit stack, smallest counts first, and returned in that order.
     Every visited node, pruned or not, counts against the cap. The
     optimum is None when no vector fills k seats.
+
+    The walk carries its state in one int that each count change moves by
+    the class's `packed` step: the additive score itself, or under the
+    other rules every vote's overlap in a field of k.bit_length() + 1 bits,
+    whose top bit is a guard no overlap reaches. The last class takes all
+    r remaining seats in one step; its r + 1 children count as visited, so
+    the visit count is that of walking them one by one.
     """
     limit = effective_cap(cap if cap is not None else GUESS_CAP)
     approvers = list(election.approval_classes)
@@ -204,43 +233,58 @@ def optimal_count_vectors(rule: Rule, election: Election, k: int, cap: Optional[
     vote_sizes = [len(v) for v in election.votes]
     # scores are integers over `scale`: additive weights from size_weights,
     # Thiele weights from omega_table, MAV distances as they are
-    scale, class_scores = 1, None
+    scale, score = 1, None
     if rule.is_additive:
         scale, weight = core.size_weights(rule, election.m, vote_sizes)
         penalty = core.nsav_penalty(rule, election.m, scale, vote_sizes)
         totals = core._integer_class_scores(election, weight)
-        class_scores = [totals[key][0] - penalty for key in approvers]
-    elif rule.kind != "MAV":
-        scale, omega = core.omega_table(rule, min(k, max(vote_sizes, default=0)))
-
-    def score(counts):
-        if not vote_sizes:
-            return 0
-        if class_scores is not None:
-            return sum(c * s for c, s in zip(counts, class_scores))
-        overlaps = [0] * len(vote_sizes)
-        for g, c in enumerate(counts):
-            if c:
-                for vid in approvers[g]:
-                    overlaps[vid] += c
+        packed = [totals[key][0] - penalty for key in approvers]
+    else:
+        width = k.bit_length() + 1
+        ones = sum(1 << width * vid for vid in range(len(vote_sizes)))
+        guard = ones << width - 1
+        packed = [sum(1 << width * vid for vid in key) for key in approvers]
         if rule.kind == "MAV":
-            return max(size + k - 2 * o for size, o in zip(vote_sizes, overlaps))
-        return sum(omega[o] for o in overlaps)
+            field = (1 << width) - 1
+            reach = [(size + k, width * vid) for vid, size in enumerate(vote_sizes)]
+
+            def score(overlaps):
+                return max([far - 2 * (overlaps >> shift & field) for far, shift in reach], default=0)
+
+        else:
+            scale, omega = core.omega_table(rule, min(k, max(vote_sizes, default=0)))
+            # Σ_v ω[o_v] = Σ_j (ω[j] - ω[j-1]) · #{v : o_v ≥ j}, and a field
+            # keeps its guard bit through subtracting j iff its overlap is ≥ j
+            steps = [(omega[j] - omega[j - 1], j * ones) for j in range(1, len(omega)) if omega[j] != omega[j - 1]]
+
+            def score(overlaps):
+                raised = overlaps | guard
+                return sum([gain * ((raised - lowered) & guard).bit_count() for gain, lowered in steps])
 
     minimizing = rule.orientation == "minimize"
     best, vectors = None, []
-    # counts[:depth] is the stack: one frame per class, holding its count
+    # counts[:depth] is the stack: one frame per class, holding its count;
+    # `state` is the sum of count times `packed` over the classes
     counts = [0] * len(sizes)
-    depth, remaining, visited = 0, k, 0
+    last = len(sizes) - 1
+    depth, remaining, visited, state = 0, k, 0, 0
     while True:
         visited += 1
         if visited > limit:
             raise ResourceCapError("class-count enumeration exceeded its cap")
         if remaining <= suffix[depth]:
-            if depth < len(sizes):
+            if depth < last:
                 depth += 1  # the first child takes no member of this class
                 continue
-            s = score(counts)
+            if depth == last:
+                # children 0..remaining, of which only the last fills k seats
+                visited += remaining + 1
+                if visited > limit:
+                    raise ResourceCapError("class-count enumeration exceeded its cap")
+                counts[last] = remaining
+                state += remaining * packed[last]
+                depth, remaining = last + 1, 0
+            s = state if score is None else score(state)
             if best is None or (s < best if minimizing else s > best):
                 best, vectors = s, [tuple(counts)]
             elif s == best:
@@ -252,10 +296,12 @@ def optimal_count_vectors(rule: Rule, election: Election, k: int, cap: Optional[
                 return (None if best is None else Fraction(best, scale)), vectors
             if counts[depth] < sizes[depth] and remaining > 0:
                 counts[depth] += 1
+                state += packed[depth]
                 remaining -= 1
                 depth += 1
                 break
             remaining += counts[depth]
+            state -= counts[depth] * packed[depth]
             counts[depth] = 0
 
 

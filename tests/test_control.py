@@ -53,6 +53,17 @@ class TestApplyControl:
         after = apply_control(inst, ControlSolution(added_candidates=("d",)))
         assert winners.winning_committees(PAV, after, 2).committees == (("a", "d"),)
 
+    @pytest.mark.parametrize("ctype", ["CCAC", "CCDC", "CCADC"])
+    def test_candidate_actions_restrict_ballots_to_the_roster(self, ctype):
+        # the definition: every ballot keeps exactly the remaining roster
+        rng = random.Random(f"restrict:{ctype}")
+        for _ in range(40):
+            inst = random_control_instance(rng, SAV, ctype, m_max=6, n_max=5)
+            for solution in ctl._solution_stream(inst):
+                after = apply_control(inst, solution)
+                keep = set(after.candidates)
+                assert after == Election(after.candidates, [v & keep for v in inst.registered_votes])
+
     def test_budget_violation_rejected(self):
         inst = ControlInstance("CCDV", AV, ["a", "b"], [{"a"}, {"b"}], 1, {"a"}, budget_delete=1)
         with pytest.raises(ValidationError):

@@ -376,7 +376,7 @@ def test_example1_rescored_under_av_matches_bruteforce(example1_election):
 
 def option_pools(inst, pool):
     """Each manipulator's ballot options, in the order the search lists them."""
-    bases, extras = man._ballot_options(inst, pool, None)
+    bases, extras = man._ballot_options(inst, man._base_pool(inst, pool, None))
     return [list(dict.fromkeys(b | e for b in bases for e in extras[i])) for i in range(inst.t)]
 
 
@@ -920,8 +920,10 @@ def test_padded_sdcm_certifies_without_the_partition(monkeypatch):
         raise AssertionError("certification decided SDCM through the threshold partition")
 
     monkeypatch.setattr(man._ProfileChecker, "decide", refuse)
+    scorings = count_integer_scores(monkeypatch)
     assert certify_manipulation(inst, verdict.witness)
     assert not certify_manipulation(inst, inst.manipulative_votes)
+    assert scorings == []
 
 
 def test_padded_cbcm_certifies_without_the_partition(monkeypatch):
@@ -936,8 +938,26 @@ def test_padded_cbcm_certifies_without_the_partition(monkeypatch):
         raise AssertionError("certification decided CBCM through the threshold partition")
 
     monkeypatch.setattr(man._ProfileChecker, "decide", refuse)
+    scorings = count_integer_scores(monkeypatch)
     assert certify_manipulation(inst, verdict.witness)
     assert not certify_manipulation(inst, inst.manipulative_votes)
+    assert scorings == []
+
+
+@pytest.mark.parametrize("mode", ["split", "common"])
+def test_cap_refuses_before_listing_ballots(monkeypatch, mode):
+    # 2^28 ballots over the whole roster: the cap is checked from the pool
+    # size alone, before a single ballot is built
+    monkeypatch.delenv("ABMV_NODE_CAP", raising=False)
+    cands = [f"c{i}" for i in range(28)]
+    inst = ManipulationInstance(SAV, "CBCM", cands, [{"c0"}, {"c0", "c1"}], [{"c1", "c2"}], 1, {"c0"})
+
+    def refuse(*args):
+        raise AssertionError("listed ballots before checking the cap")
+
+    monkeypatch.setattr(man, "_sorted_ballots", refuse)
+    with pytest.raises(ResourceCapError, match="^268435456 ballot profiles exceed the cap 2000000$"):
+        solve_manipulation_bruteforce(inst, profile_mode=mode, pool="unrestricted")
 
 
 # draws past the first 250 that are YES instances, so witnesses get pinned too

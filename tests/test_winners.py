@@ -157,6 +157,12 @@ def fraction_winners(rule, election, k):
     return tuple(sorted(won, key=lambda w: [election.index(c) for c in reversed(w)])), best
 
 
+WIDE = Election(
+    [f"c{i}" for i in range(66)],
+    [{"c0", "c64", "c65"}, {"c63", "c64"}, {f"c{i}" for i in range(66)}, {"c65"}, {"c1", "c65"}, set()],
+)
+
+
 class TestExhaustiveScoring:
     """Exhaustive winners against the `Fraction` specification
     `core.committee_score`, which the Thiele family and MAV reach through
@@ -166,6 +172,10 @@ class TestExhaustiveScoring:
     @example((MAV, Election(["a", "b"], []), 2))
     @example((NSAV, Election(["a", "b", "c"], [set(), {"a", "b", "c"}, {"a"}]), 3))
     @example((COPRIME_THIELE, Election([f"c{i}" for i in range(7)], [{f"c{i}" for i in range(7)}] * 2), 7))
+    # 66 candidates: committee and vote masks reach past one 64-bit word
+    @example((PAV, WIDE, 2))
+    @example((MAV, WIDE, 2))
+    @example((ABCCV, WIDE, 3))
     @settings(max_examples=400, deadline=None)
     def test_matches_fraction_scores(self, case):
         rule, e, k = case
@@ -294,6 +304,27 @@ def test_clone_swap_preserves_winning():
                     assert swapped in ws.committees
 
 
+# both tables reach overlap 8: a plateau after overlap 2, and gains 1, 2,
+# 1/2, 5/2, 0, 1, 3, 2, which are not concave
+PACKED_RULES = (
+    PAV, ABCCV, MAV, core.thiele([0, 1, 2, 2, 2, 2, 2, 2, 2]), core.thiele([0, 1, 3, Fraction(7, 2), 6, 6, 7, 10, 12]),
+)
+
+
+@st.composite
+def packed_walk_cases(draw):
+    """k at the edges of the packed fields' widths (3 and 7 fill
+    k.bit_length() bits, 4 and 8 need one more), m from k to k + 2, and up
+    to 30 votes, so the packed overlaps pass 64 bits; ballots may be empty
+    or the whole roster."""
+    k = draw(st.sampled_from([3, 4, 7, 8]))
+    m = draw(st.integers(k, k + 2))
+    cands = [f"c{i}" for i in range(m)]
+    ballot = st.frozensets(st.sampled_from(cands)) | st.sampled_from([frozenset(), frozenset(cands)])
+    votes = draw(st.lists(ballot, max_size=30))
+    return draw(st.sampled_from(PACKED_RULES)), Election(cands, votes), k
+
+
 class TestClassCountEnumeration:
     RULES = (
         AV, SAV, NSAV, PAV, ABCCV, MAV, core.thiele([0, 2, 3, Fraction(7, 2), 4, 4, 4, 4]), COPRIME_THIELE,
@@ -351,6 +382,49 @@ class TestClassCountEnumeration:
         assert winners.optimal_score_by_classes(PAV, e, 4, cap=383) == Fraction(13, 2)
         with pytest.raises(ResourceCapError):
             winners.optimal_score_by_classes(PAV, e, 4, cap=382)
+
+    def test_closed_last_class_node_count_is_pinned(self, monkeypatch):
+        # recorded while the walk still visited the last class's counts one
+        # by one: the 12 never-approved dummies form the last class, and
+        # every optimal vector gives it 5 to 7 of the 10 seats
+        monkeypatch.delenv("ABMV_NODE_CAP", raising=False)
+        base = Election(
+            ["c0", "c1", "c2", "c3", "c4"],
+            [{"c0", "c1"}, {"c1", "c2"}, {"c2", "c3", "c4"}, {"c0"}, {"c4"}, set()],
+        )
+        e = core.pad_with_dummies(base, 12)
+        best, vectors = winners.optimal_count_vectors(ABCCV, e, 10, cap=335)
+        assert best == 5 and len(vectors) == 6
+        assert vectors[0] == (1, 0, 1, 0, 1, 7) and {v[-1] for v in vectors} == {5, 6, 7}
+        with pytest.raises(ResourceCapError):
+            winners.optimal_count_vectors(ABCCV, e, 10, cap=334)
+
+    def test_mav_node_count_is_pinned(self, monkeypatch):
+        # recorded while the walk rebuilt every overlap at each leaf
+        monkeypatch.delenv("ABMV_NODE_CAP", raising=False)
+        e = Election(
+            [f"c{i}" for i in range(10)],
+            [{"c0", "c1", "c2"}, {"c2", "c3", "c4"}, {"c4", "c5", "c6", "c7"}, {"c7", "c8"},
+             {"c0", "c9"}, {"c1", "c3", "c5", "c9"}, {"c8"}],
+        )
+        best, vectors = winners.optimal_count_vectors(MAV, e, 4, cap=911)
+        assert best == 5 and len(vectors) == 3
+        with pytest.raises(ResourceCapError):
+            winners.optimal_count_vectors(MAV, e, 4, cap=910)
+
+    @given(packed_walk_cases())
+    @example((PAV, Election([f"c{i}" for i in range(8)], []), 8))
+    @example((MAV, Election([f"c{i}" for i in range(9)], [{f"c{i}" for i in range(9)}] * 30), 8))
+    @example((PACKED_RULES[3], Election([f"c{i}" for i in range(5)], [{"c0", "c1", "c2", "c3"}] * 30), 4))
+    @settings(max_examples=200, deadline=None)
+    def test_packed_overlaps_match_exhaustive_winners(self, case):
+        rule, e, k = case
+        ws = winning_committees(rule, e, k, strategy="exhaustive")
+        best, vectors = winners.optimal_count_vectors(rule, e, k)
+        assert best == ws.optimum
+        assert len(set(vectors)) == len(vectors)
+        classes = tuple(e.approval_classes.values())
+        assert set(vectors) == {tuple(len(set(w) & set(members)) for members in classes) for w in ws.committees}
 
     def test_short_omega_table_is_a_configuration_error(self):
         # a vote of size 3 and k = 3 reach overlap 3, which [0, 1, 3/2] lacks
