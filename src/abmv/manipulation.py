@@ -61,6 +61,8 @@ class ManipulationInstance:
             raise ValidationError("a current committee is required exactly when variant is not SDCM")
         if self.ballot_blocks and len(self.ballot_blocks) != len(self.manipulative_votes):
             raise ValidationError("ballot_blocks must align with the manipulators")
+        if not 1 <= self.k <= len(self.candidates):
+            raise ValidationError("need 1 <= k <= |C|")
         election = self.full_election  # validates ballots against the roster
         if self.current_committee is not None:
             if len(self.current_committee) != self.k:
@@ -233,12 +235,13 @@ class _ProfileChecker:
     profile moves the others, so `untouched` holds theirs ascending.
 
     `decide` is the one additive acceptance: profiles reach it through
-    `accepts_scores`, as do split-mode brute force's AV count vectors,
-    and the FPT searches' guessed partitions call it directly. Other
-    rules go through `_general_accepts` (`_class_accepts`), which reads
-    the optimal count vectors over the manipulated election's approval
-    classes. For SDCM the truthful winning distribution is computed once
-    up front the same way.
+    `accepts_scores`, as do split-mode brute force's AV count vectors;
+    the FPT searches' guessed partitions and the SAV/NSAV
+    constant-manipulator search's picked class options call it directly.
+    Other rules go through `_general_accepts` (`_class_accepts`), which
+    reads the optimal count vectors over the manipulated election's
+    approval classes. For SDCM the truthful winning distribution is
+    computed once up front the same way.
     """
 
     def __init__(self, instance: ManipulationInstance, cap=None, cast=frozenset()):
@@ -792,12 +795,13 @@ def solve_sdcm_fpt_m(instance: ManipulationInstance, cap: Optional[int] = None) 
 # Manipulators need not share a ballot under these rules, so the search
 # guesses, per approval class and manipulator, how many class members the
 # manipulator will approve, plus the final winning threshold; a per-class
-# binary table then decides which score side each member can land on, and
-# the class tables are aggregated into the acceptance inequalities.
+# binary table lists which (above, at) counts the class can land with, each
+# with the first assignment that reaches it, and one option per class is
+# picked whose winners `_ProfileChecker.decide` accepts.
 
 
-def _class_table(members, quota, subsets, values, s, w_members, mode, traced=False):
-    """Reachable (above, at) options of one class, and how to reach them.
+def _class_table(members, quota, subsets, values, s, w_members, mode):
+    """The sorted (above, at) options of one class, each with its assignment.
 
     Transitions follow the candidate order: each member is assigned one
     of `subsets`, the manipulator subsets the quota allows, and lands
@@ -807,9 +811,9 @@ def _class_table(members, quota, subsets, values, s, w_members, mode, traced=Fal
     state is (above, at, used), where `used` counts each manipulator's
     approvals as one mixed-radix int whose digit i has radix quota[i] + 1.
 
-    Returns (final, trace): final maps each (above, at) that meets the
-    quota to its first state in insertion order; trace, built only when
-    `traced`, maps each step's states to (previous state, subset).
+    Each state keeps the subsets of the first path that reached it, as
+    nested (subset, rest) pairs, last member first; an option is an
+    (above, at) that meets the quota, with its first state's path.
     """
     t = len(quota)
     place = [1] * t
@@ -823,7 +827,6 @@ def _class_table(members, quota, subsets, values, s, w_members, mode, traced=Fal
     ]
     steps = [(sum(1 << i for i in sub), sum(place[i] for i in sub), sub) for sub in subsets]
     states = {(0, 0, 0): None}
-    trace = []
     for x, c in enumerate(members):
         in_w = c in w_members
         moves = []
@@ -836,37 +839,22 @@ def _class_table(members, quota, subsets, values, s, w_members, mode, traced=Fal
             elif not in_w or mode == "cbcm":
                 moves.append((mask, delta, 0, 0, subset))
         nxt = {}
-        for state in states:
-            above, at, used = state
+        for (above, at, used), path in states.items():
             blocked = full[used]
             for mask, delta, up, level, subset in moves:
                 if mask & blocked:
                     continue
                 new = (above + up, at + level, used + delta)
                 if new not in nxt:
-                    nxt[new] = (state, subset)
-        if traced:
-            trace.append(nxt)
+                    nxt[new] = (subset, path)
         states = nxt
         if not states:
             break
     final = {}
-    for state in states:
-        if state[2] == target:
-            final.setdefault(state[:2], state)
-    return final, trace
-
-
-def _replay_class(members, trace, final_state, t):
-    """Walk a class table backwards to the per-manipulator approvals."""
-    approvals = [[] for _ in range(t)]
-    state = final_state
-    for x in range(len(members) - 1, -1, -1):
-        prev, subset = trace[x][state]
-        for i in subset:
-            approvals[i].append(members[x])
-        state = prev
-    return approvals
+    for (above, at, used), path in states.items():
+        if used == target:
+            final.setdefault((above, at), path)
+    return sorted(final.items())
 
 
 def solve_savnsav_const_manipulators(
@@ -875,9 +863,9 @@ def solve_savnsav_const_manipulators(
     """CBCM/SBCM under SAV or NSAV, polynomial for fixed manipulator count.
 
     For each guess of per-class approval counts, each threshold s in
-    ascending order and each acceptance mode, the class tables are
-    aggregated into the acceptance inequalities, and the first pick is
-    replayed into ballots. Exact shortcuts keep that first pick:
+    ascending order and each acceptance mode, one option per class is
+    picked through `_ProfileChecker.decide`, and the first pick's
+    assignments are the ballots. Exact shortcuts keep that first pick:
 
     - No gain. A manipulator whose ballot lies inside the committee, or
       contains it, can never strictly gain, so the answer is NO at once.
@@ -893,11 +881,9 @@ def solve_savnsav_const_manipulators(
       among its approved candidates. An (s, mode) outside the window
       builds no table.
     - The options memo. A class table depends on s only through the sign
-      pattern of its members' possible scores against s, so its (above,
-      at) options are kept for the whole call, keyed by class, quota,
-      mode and that pattern.
-    - The trace. Only the accepted (s, mode), at most one per call,
-      rebuilds its tables with the trace the witness is replayed from.
+      pattern of its members' possible scores against s, so its options
+      are kept for the whole call, keyed by class, quota, mode and that
+      pattern.
     """
     rule = instance.rule
     if rule.kind not in ("SAV", "NSAV"):
@@ -920,6 +906,14 @@ def solve_savnsav_const_manipulators(
     group_keys = sorted(groups, key=sorted)
     group_members = [groups[key] for key in group_keys]
     group_sizes = [len(ms) for ms in group_members]
+    # prefixes[g][j]: the bits of the first j members of class g, the
+    # displaced committee's first
+    prefixes = []
+    for members in group_members:
+        bits = [0]
+        for c in sorted(members, key=lambda c: c not in w):
+            bits.append(bits[-1] | 1 << checker.bit[c])
+        prefixes.append(bits)
     # outside candidates gain nothing, so one sorted list answers every
     # threshold guess by bisection
     outside_base = checker.untouched
@@ -941,15 +935,12 @@ def solve_savnsav_const_manipulators(
 
     modes = ["cbcm"] if instance.variant == "CBCM" else ["sbcm_unique", "sbcm_multi"]
     count_choices = [list(product(range(size + 1), repeat=t)) for size in group_sizes]
-    options_memo = {}
+    memo = {}
 
     for chosen in product(*count_choices):
         m_sum = [sum(counts[i] for counts in chosen) for i in range(t)]
         active = [i for i in range(t) if m_sum[i] > 0]
-        subsets = []
-        for r in range(len(active) + 1):
-            for combo in combinations(active, r):
-                subsets.append(frozenset(combo))
+        subsets = [frozenset(combo) for r in range(len(active) + 1) for combo in combinations(active, r)]
         # score shift of a candidate approved by exactly the manipulators in
         # `subset`, in `core.size_weights` integers: nobody's approval shifts by 0
         gain = {subset: sum(weight[m_sum[i]] for i in subset) for subset in subsets}
@@ -981,42 +972,28 @@ def solve_savnsav_const_manipulators(
             for mode, low, high in bounds:
                 if not low <= s <= high:
                     continue
-                options = _class_options(options_memo, classes, s, w, mode, patterns)
-                if options is None:
-                    continue
-                pick = _aggregate_classes(instance, mode, group_keys, options, out_gt, out_eq, old_overlap)
-                if pick is None:
-                    continue
-                ballots = [set() for _ in range(t)]
-                for (members, *table), option in zip(classes, pick):
-                    final, trace = _class_table(members, *table, s, w, mode, traced=True)
-                    for i, names in enumerate(_replay_class(members, trace, final[option], t)):
-                        ballots[i].update(names)
-                return Verdict(True, tuple(map(frozenset, ballots)))
+                options = []
+                for g, (members, quota, subs, values) in enumerate(classes):
+                    if g not in patterns:
+                        patterns[g] = tuple((v > s) - (v < s) for row in values for v in row)
+                    key = (g, quota, mode, patterns[g])
+                    if key not in memo:
+                        memo[key] = _class_table(members, quota, subs, values, s, w, mode)
+                    if not memo[key]:
+                        break
+                    options.append(memo[key])
+                else:
+                    pick = _pick_options(checker, mode, options, prefixes, out_gt, out_eq)
+                    if pick is None:
+                        continue
+                    ballots = [set() for _ in range(t)]
+                    for members, path in zip(group_members, pick):
+                        for c in reversed(members):
+                            subset, path = path
+                            for i in subset:
+                                ballots[i].add(c)
+                    return Verdict(True, tuple(map(frozenset, ballots)))
     return NO
-
-
-def _class_options(memo, classes, s, w_members, mode, patterns):
-    """Each class's sorted (above, at) options at threshold s, or None when
-    a class has none.
-
-    `classes` holds (members, quota, subsets, values) per class. `memo`
-    keeps the options for the whole search by (class, quota, mode, sign
-    pattern of the values against s), and `patterns` each class's pattern
-    at this s.
-    """
-    options = []
-    for g, (members, quota, subsets, values) in enumerate(classes):
-        if g not in patterns:
-            patterns[g] = tuple((v > s) - (v < s) for row in values for v in row)
-        key = (g, quota, mode, patterns[g])
-        if key not in memo:
-            final, _ = _class_table(members, quota, subsets, values, s, w_members, mode)
-            memo[key] = sorted(final)
-        if not memo[key]:
-            return None
-        options.append(memo[key])
-    return options
 
 
 def _threshold_bounds(modes, windows, outside_top, reach, group_keys, old_overlap):
@@ -1043,61 +1020,35 @@ def _threshold_bounds(modes, windows, outside_top, reach, group_keys, old_overla
     return bounds
 
 
-def _aggregate_classes(instance, mode, group_keys, options, out_gt, out_eq, old_overlap):
-    """Pick one (above, at) option per class, from each class's sorted
-    `options`, satisfying the acceptance inequalities; returns the chosen
-    options or None."""
-    t = instance.t
-    k = instance.k
+def _pick_options(checker, mode, options, prefixes, out_gt, out_eq):
+    """The paths of the first pick of one option per class, in the order of
+    each class's sorted `options`, whose totals fit `mode` and whose
+    winners `checker.decide` accepts, or None.
 
-    def accept(i_tot, j_tot, iv, jv):
-        n_gt = i_tot + out_gt
-        n_eq = j_tot + out_eq
-        if mode == "cbcm":
-            if n_gt > k - 1 or n_eq < 1 or n_gt + n_eq < k:
-                return False
-            return all(
-                iv[i] + max(0, k + jv[i] - (n_gt + n_eq)) > old_overlap[i] for i in range(t)
-            )
-        if mode == "sbcm_unique":
-            if n_gt + n_eq != k:
-                return False
-            return all(iv[i] + jv[i] > old_overlap[i] for i in range(t))
-        # sbcm_multi: displaced-committee approvals sit strictly above the
-        # threshold, and every winning committee still adds a new approval
-        if n_gt > k - 1 or n_eq < 1 or n_gt + n_eq < k + 1:
-            return False
-        for i in range(t):
-            if iv[i] > old_overlap[i]:
-                continue
-            if iv[i] == old_overlap[i] and k + jv[i] - (n_gt + n_eq) > 0:
-                continue
-            return False
-        return True
+    A class's above members take its first bits in `prefixes` and its at
+    members the next. Every member of a class is approved by the same
+    manipulators, so the per-voter counts need no order; putting the
+    displaced committee first makes decide's SBCM test the one the tables
+    enforce, since those members land above the threshold (sbcm_multi) or
+    at least at it (sbcm_unique).
+    """
+    k = checker.instance.k
+    # the fewest winners at or above the threshold; sbcm_unique allows no more
+    need = k + (mode == "sbcm_multi")
 
-    chosen = [None] * len(options)
-
-    def walk(g, i_tot, j_tot, iv, jv):
-        if mode == "sbcm_unique":
-            if i_tot + j_tot + out_gt + out_eq > k:
-                return None
-        elif i_tot + out_gt > k - 1:
+    def walk(g, sure, tied, swin, pwin):
+        if sure + tied > k if mode == "sbcm_unique" else sure > k - 1:
             return None
         if g == len(options):
-            return list(chosen) if accept(i_tot, j_tot, iv, jv) else None
-        for above, at in options[g]:
-            chosen[g] = (above, at)
-            iv2 = list(iv)
-            jv2 = list(jv)
-            for i in group_keys[g]:
-                iv2[i] += above
-                jv2[i] += at
-            found = walk(g + 1, i_tot + above, j_tot + at, iv2, jv2)
+            return () if sure + tied >= need and checker.decide(swin, sure, pwin, tied) else None
+        bits = prefixes[g]
+        for (above, at), path in options[g]:
+            found = walk(g + 1, sure + above, tied + at, swin | bits[above], pwin | bits[above + at] ^ bits[above])
             if found is not None:
-                return found
+                return (path, *found)
         return None
 
-    return walk(0, 0, 0, [0] * t, [0] * t)
+    return walk(0, out_gt, out_eq, 0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,14 @@ def test_usage_error_exit_two(example_files):
     assert proc.stderr.startswith("error:")
 
 
+def test_solve_manip_rejects_k_past_the_roster(tmp_path, capsys):
+    path = tmp_path / "sdcm.json"
+    path.write_text(json.dumps({"candidates": ["a", "b", "c"], "votes": [["a"]], "manipulators": [["b"]],
+                                "k": 5, "variant": "SDCM"}))
+    assert cli.main(["solve-manip", "--rule", "sav", "--algo", "bruteforce", str(path)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "error: need 1 <= k <= |C|\n"
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -231,6 +239,7 @@ FILE_COMMANDS = [
     ["score", "--rule", "av", "--candidate", "a"],
     ["jcc", "--rule", "pav"],
     ["solve-manip", "--rule", "sav"],
+    ["solve-manip", "--rule", "sav", "--algo", "bruteforce"],
     ["solve-control", "--rule", "mav"],
     ["gen", "--kind", "CcdvSavRx3c"],
     ["gen", "--kind", "ManipAvVc"],

@@ -19,6 +19,7 @@ from abmv.core import (
     Election,
     ResourceCapError,
     UnsupportedRuleError,
+    ValidationError,
     Verdict,
 )
 from abmv.manipulation import (
@@ -80,6 +81,16 @@ def yes_leaning_instance(rng, rule, variant, t, pad):
     ws = winners.winning_committees(rule, Election(roster, honest + manip), k)
     committee = frozenset(rng.choice(ws.committees))
     return ManipulationInstance(rule, variant, roster, honest, manip, k, committee)
+
+
+@pytest.mark.parametrize("rule", [SAV, PAV])
+@pytest.mark.parametrize("variant", man.VARIANTS)
+@pytest.mark.parametrize("k", [0, 4])
+def test_k_outside_one_to_m_is_rejected(rule, variant, k):
+    cands = ["a", "b", "c"]
+    committee = None if variant == "SDCM" else cands[:k]
+    with pytest.raises(ValidationError, match=r"^need 1 <= k <= \|C\|$"):
+        ManipulationInstance(rule, variant, cands, [{"a"}], [{"b"}], k, committee)
 
 
 class TestPreferences:
@@ -233,6 +244,37 @@ class TestSavNsavConstManipulators:
                 solve_savnsav_const_manipulators(inst).yes
                 == solve_manipulation_bruteforce(inst).yes
             )
+
+    def test_sbcm_agrees_with_bruteforce(self):
+        # the acceptance test must see the committee's members where the
+        # class tables put them; with those members taking a class's last
+        # bits, draws 54, 145 and 162 read NO where brute force finds YES
+        for i in range(200):
+            rng = random.Random(f"mut:{i}")
+            rule = rng.choice([SAV, NSAV])
+            t = rng.choice((1, 2, 2, 3))
+            if i % 2:
+                inst = random_instance(rng, rule, "SBCM", m_max=6, n_max=5, t_max=t)
+            else:
+                inst = yes_leaning_instance(rng, rule, "SBCM", t, 0)
+            verdict = solve_savnsav_const_manipulators(inst)
+            assert verdict.yes == solve_manipulation_bruteforce(inst).yes, i
+            assert not verdict.yes or certify_manipulation(inst, verdict.witness), i
+
+    @pytest.mark.parametrize(
+        "m,honest,manip,committee,witness",
+        [
+            (6, [{"c0", "c1"}, {"c2"}, {"c0", "c2"}], [{"c1", "c2", "c4"}], {"c0", "c2"}, [{"c1"}]),
+            (5, [{"c0", "c1", "c4"}, {"c0", "c1"}], [{"c1", "c2", "c3"}, {"c3", "c4"}], {"c0", "c1"},
+             [{"c3"}, {"c1"}]),
+        ],
+    )
+    def test_sbcm_yes_keeps_the_committee(self, m, honest, manip, committee, witness):
+        cands = [f"c{i}" for i in range(m)]
+        inst = ManipulationInstance(SAV, "SBCM", cands, honest, manip, 2, committee)
+        verdict = solve_savnsav_const_manipulators(inst)
+        assert verdict.witness == tuple(map(frozenset, witness))
+        assert certify_manipulation(inst, verdict.witness)
 
     def test_single_manipulator_all_tied(self):
         inst = ManipulationInstance(SAV, "CBCM", ["a", "b"], [], [{"a"}], 1, {"a"})
